@@ -45,9 +45,12 @@ def _path(out, name):
 
 
 def _save_block(out, name, block):
-    # zero-column blocks have no dense-CSV form; the manifest records the rank
+    # zero-column blocks have no dense-CSV form; the manifest records the rank,
+    # and a file an earlier run left under that name must not outlive it
     if block.shape[1] > 0:
         save_csv(_path(out, name), block)
+    elif os.path.exists(_path(out, name)):
+        os.remove(_path(out, name))
 
 
 def parse_sigma_spec(text):
@@ -217,11 +220,9 @@ def load_model(model_dir):
 
     def block(name, rows, cols):
         path = os.path.join(model_dir, name)
-        if cols == 0:
-            return np.zeros((rows, 0))
-        return load_csv(path)[0]
+        return load_csv(path)[0] if cols else np.zeros((rows, 0))
 
-    model = SharedPrivateModel(
+    return SharedPrivateModel(
         w1=block("w1.csv", d1, int(manifest["q1"])),
         w2=block("w2.csv", d2, int(manifest["q2"])),
         v1=block("v1.csv", d1, int(manifest["q_shared"])),
@@ -234,7 +235,6 @@ def load_model(model_dir):
         history=np.array([]),
         converged=manifest.get("converged", "True") == "True",
         n_iter=int(manifest.get("n_iter", "0")))
-    return model
 
 
 def cmd_predict(args):

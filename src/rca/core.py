@@ -10,7 +10,7 @@ subspace loadings in primal mode (G between features); the math is the
 same, only the interpretation of rows changes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,6 +99,10 @@ class KernelCovariance:
         return rbf_gram(times, self.spec, data_variance=self.data_variance)
 
 
+def _dense(spec, dim):
+    return (Explicit(spec) if isinstance(spec, np.ndarray) else spec).materialize(dim)
+
+
 def materialize(spec, dim):
     """Build the covariance a spec describes and check it is usable.
 
@@ -106,10 +110,7 @@ def materialize(spec, dim):
     positive-definiteness check (including the one-shot jitter policy) that
     the generalized eigensolver applies.
     """
-    if isinstance(spec, np.ndarray):
-        spec = Explicit(spec)
-    sigma = spec.materialize(dim)
-    sigma = check_square_symmetric(sigma, "covariance")
+    sigma = check_square_symmetric(_dense(spec, dim), "covariance")
     ensure_spd(sigma)  # raises NotPositiveDefiniteError if unusable
     return sigma
 
@@ -156,23 +157,40 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     RcaFit. Eigenvalues at or below 1 contribute nothing to the loadings.
     """
     gram = check_square_symmetric(gram, "gram")
-    if np.linalg.eigvalsh(gram).min() < -1e-8 * max(np.linalg.norm(gram), 1e-300):
-        raise ValueError("gram matrix is not positive semidefinite")
-    sig, _ = ensure_spd(materialize(sigma, gram.shape[0]))
-    eig = gen_eig_spd(gram, sig)
-    q = retained_rank(eig.values, tol=rank_tol)
-    loadings = sig @ eig.vectors[:, :q] * np.sqrt(eig.values[:q] - 1.0)
-    ll = _gram_log_likelihood(gram, loadings, sig, n_obs)
-    return RcaFit(eig=eig, q=q, loadings=loadings, log_likelihood=ll)
-
-
-def _gram_log_likelihood(gram, loadings, sigma, n_obs):
     p = gram.shape[0]
-    k = loadings @ loadings.T + sigma
-    chol = np.linalg.cholesky(k)
+    sig = _dense(sigma, p)
+    eig = gen_eig_spd(gram, sig)
+    d = eig.values
+    # Sylvester's inertia: d_min < 0 gives lambda_min(G) >= d_min trace(Sigma),
+    # which settles semidefiniteness unless the bound is inconclusive.
+    floor = -1e-8 * max(np.linalg.norm(gram), 1e-300)
+    if d[-1] < 0 and d[-1] * (np.trace(sig) + p * eig.jitter) < floor \
+            and np.linalg.eigvalsh(gram).min() < floor:
+        raise ValueError("gram matrix is not positive semidefinite")
+    q = retained_rank(d, tol=rank_tol)
+    s_q = eig.vectors[:, :q]
+    loadings = (sig @ s_q + eig.jitter * s_q) * np.sqrt(d[:q] - 1.0)
+    # At the ML solution K = X X' + Sigma has log|K| = log|Sigma| +
+    # sum_{i<=q} log d_i and trace(K^{-1} G) = q + sum_{i>q} d_i.
+    ll = -0.5 * n_obs * (eig.sigma_logdet + np.log(d[:q]).sum() + q + d[q:].sum()
+                         + p * np.log(2.0 * np.pi))
+    return RcaFit(eig=eig, q=q, loadings=loadings, log_likelihood=float(ll))
+
+
+def covariance_log_likelihood(k, cov, count):
+    """Log likelihood of count i.i.d. vectors under N(0, k), given only
+    their second moment cov (the sum of y y' over the vectors, / count).
+
+    Raises NotPositiveDefiniteError when k has no Cholesky factor.
+    """
+    try:
+        chol = np.linalg.cholesky(k)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("model covariance is not positive definite") from exc
+    t = np.linalg.inv(chol)
+    quad = np.einsum("ij,ij->", t @ cov, t)  # trace(K^{-1} cov)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
-    quad = float(np.trace(np.linalg.solve(k, gram)))
-    return -0.5 * n_obs * (logdet + quad + p * np.log(2.0 * np.pi))
+    return float(-0.5 * count * (logdet + quad + k.shape[0] * np.log(2.0 * np.pi)))
 
 
 def log_marginal(y, x, sigma):
@@ -196,13 +214,7 @@ def log_marginal(y, x, sigma):
         if x.shape[0] != n:
             raise ValueError(f"x has {x.shape[0]} rows, expected {n}")
         k = x @ x.T + sigma
-    try:
-        chol = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("model covariance is not positive definite") from exc
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    quad = float(np.einsum("ij,ij->", y, np.linalg.solve(k, y)))
-    return -0.5 * d * logdet - 0.5 * quad - 0.5 * n * d * np.log(2.0 * np.pi)
+    return covariance_log_likelihood(k, y @ y.T / d, d)
 
 
 def ppca_fit(y, sigma2):
@@ -220,6 +232,4 @@ def ppca_fit(y, sigma2):
     mean = y.mean(axis=0)
     yc = y - mean
     cov = yc.T @ yc / n
-    fit = rca_fit(cov, ScaledIdentity(sigma2), n_obs=n)
-    return RcaFit(eig=fit.eig, q=fit.q, loadings=fit.loadings,
-                  log_likelihood=fit.log_likelihood, mean=mean)
+    return replace(rca_fit(cov, ScaledIdentity(sigma2), n_obs=n), mean=mean)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Explicit, log_marginal, rca_fit
+from .core import Explicit, covariance_log_likelihood, rca_fit
 from .linalg import as_matrix
 
 
@@ -45,12 +45,18 @@ class SharedPrivateModel:
 
     def joint_covariance(self):
         """Implied covariance of the concatenated, centered views."""
-        d1, d2 = self.mu1.size, self.mu2.size
-        cov = np.zeros((d1 + d2, d1 + d2))
-        cov[:d1, :d1] = self.w1 @ self.w1.T + self.sigma1_sq * np.eye(d1)
-        cov[d1:, d1:] = self.w2 @ self.w2.T + self.sigma2_sq * np.eye(d2)
         v = np.vstack([self.v1, self.v2])
-        return cov + v @ v.T
+        return _private_covariance(self.w1, self.w2, self.sigma1_sq,
+                                   self.sigma2_sq) + v @ v.T
+
+
+def _private_covariance(w1, w2, sigma1_sq, sigma2_sq):
+    """blockdiag(W1 W1' + sigma1^2 I, W2 W2' + sigma2^2 I)."""
+    d1, d2 = w1.shape[0], w2.shape[0]
+    cov = np.zeros((d1 + d2, d1 + d2))
+    cov[:d1, :d1] = w1 @ w1.T + sigma1_sq * np.eye(d1)
+    cov[d1:, d1:] = w2 @ w2.T + sigma2_sq * np.eye(d2)
+    return cov
 
 
 def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
@@ -88,38 +94,32 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     if rank_margin is None:
         rank_margin = 3.0 / np.sqrt(n)
 
-    mu1 = y1.mean(axis=0)
-    mu2 = y2.mean(axis=0)
-    y1c = y1 - mu1
-    y2c = y2 - mu2
-    joint = np.hstack([y1c, y2c])
+    mu1, mu2 = y1.mean(axis=0), y2.mean(axis=0)
+    joint = np.hstack([y1 - mu1, y2 - mu2])
     c = joint.T @ joint / n
-    c11 = c[:d1, :d1]
-    c22 = c[d1:, d1:]
+    c11, c22 = c[:d1, :d1], c[d1:, d1:]
     sigma1_sq = alpha * np.trace(c11) / d1
     sigma2_sq = alpha * np.trace(c22) / d2
 
-    w1 = np.zeros((d1, 0))
-    w2 = np.zeros((d2, 0))
-    v1 = np.zeros((d1, 0))
-    v2 = np.zeros((d2, 0))
+    w1 = v1 = np.zeros((d1, 0))
+    w2 = v2 = np.zeros((d2, 0))
     history = []
     rank_history = []
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        w1 = _private_step(c11, v1, sigma1_sq, rank_margin, iteration, "view 1")
-        w2 = _private_step(c22, v2, sigma2_sq, rank_margin, iteration, "view 2")
-        v1, v2 = _shared_step(c, w1, w2, sigma1_sq, sigma2_sq, d1, rank_margin,
-                              iteration)
+        at = f"iteration {iteration}, "
+        w1 = _solve(c11, v1 @ v1.T + sigma1_sq * np.eye(d1), rank_margin,
+                    at + "private block view 1")
+        w2 = _solve(c22, v2 @ v2.T + sigma2_sq * np.eye(d2), rank_margin,
+                    at + "private block view 2")
+        private = _private_covariance(w1, w2, sigma1_sq, sigma2_sq)
+        v = _solve(c, private, rank_margin, at + "shared block")
+        v1, v2 = v[:d1], v[d1:]
 
-        snapshot = SharedPrivateModel(w1=w1, w2=w2, v1=v1, v2=v2,
-                                      sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq,
-                                      mu1=mu1, mu2=mu2, alpha=alpha,
-                                      history=np.array(history), converged=False,
-                                      n_iter=iteration)
-        history.append(joint_log_marginal(snapshot, y1, y2))
-        rank_history.append(snapshot.ranks)
+        # the joint likelihood from the sample covariance: no pass over rows
+        history.append(covariance_log_likelihood(private + v @ v.T, c, n))
+        rank_history.append((v.shape[1], w1.shape[1], w2.shape[1]))
         if len(history) >= 2 and abs(history[-1] - history[-2]) <= tol:
             converged = True
             break
@@ -131,27 +131,12 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
                               n_iter=iteration, rank_history=tuple(rank_history))
 
 
-def _private_step(cview, vshared, noise_sq, rank_margin, iteration, label):
-    dim = cview.shape[0]
-    sigma = vshared @ vshared.T + noise_sq * np.eye(dim)
+def _solve(cov, sigma, rank_margin, where):
+    """Residual loadings of cov against sigma; failures name the solve."""
     try:
-        return rca_fit(cview, Explicit(sigma), rank_tol=rank_margin).loadings
+        return rca_fit(cov, Explicit(sigma), rank_tol=rank_margin).loadings
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"iteration {iteration}, private block {label}: {exc}") from exc
-
-
-def _shared_step(c, w1, w2, sigma1_sq, sigma2_sq, d1, rank_margin, iteration):
-    d2 = c.shape[0] - d1
-    sigma = np.zeros_like(c)
-    sigma[:d1, :d1] = w1 @ w1.T + sigma1_sq * np.eye(d1)
-    sigma[d1:, d1:] = w2 @ w2.T + sigma2_sq * np.eye(d2)
-    try:
-        v = rca_fit(c, Explicit(sigma), rank_tol=rank_margin).loadings
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"iteration {iteration}, shared block: {exc}") from exc
-    return v[:d1], v[d1:]
+        raise np.linalg.LinAlgError(f"{where}: {exc}") from exc
 
 
 def joint_log_marginal(model, y1, y2):
@@ -160,14 +145,8 @@ def joint_log_marginal(model, y1, y2):
     y1 = as_matrix(y1, "y1")
     y2 = as_matrix(y2, "y2")
     yc = np.hstack([y1 - model.mu1, y2 - model.mu2])
-    d1, q1 = model.w1.shape
-    private = np.zeros((yc.shape[1], q1 + model.w2.shape[1]))
-    private[:d1, :q1] = model.w1
-    private[d1:, q1:] = model.w2
-    x = np.hstack([private, np.vstack([model.v1, model.v2])])
-    noise = np.concatenate([np.full(d1, model.sigma1_sq),
-                            np.full(model.mu2.size, model.sigma2_sq)])
-    return log_marginal(yc.T, x, np.diag(noise))
+    n = yc.shape[0]
+    return covariance_log_likelihood(model.joint_covariance(), yc.T @ yc / n, n)
 
 
 def predict_view1(model, y2, mode="paper"):

@@ -1,8 +1,9 @@
 """Dense symmetric and symmetric-definite generalized eigendecompositions.
 
-The generalized solver reduces ``A S = Sigma S D`` to a standard symmetric
-eigenproblem by whitening with Sigma's eigendecomposition, so the
-intermediate whitened quantities are available for verification.
+The generalized solver reduces ``A S = Sigma S D`` to one standard symmetric
+eigenproblem by the Cholesky route (Golub & Van Loan, Matrix Computations,
+8.7): Sigma = L L', C = L^{-1} A L^{-T} = V D V', S = L^{-T} V. The factor
+also gives the log|Sigma| that the closed-form likelihood needs.
 """
 
 from dataclasses import dataclass
@@ -68,10 +69,14 @@ class GenEig:
     """Solution of the symmetric-definite problem A S = Sigma S diag(values).
 
     values are sorted non-increasing; vectors holds S with the
-    Sigma-orthonormal normalization S' Sigma S = I.
+    Sigma-orthonormal normalization S' Sigma S = I, where Sigma is the input
+    plus ``jitter`` (0 unless the jitter policy fired) times the identity;
+    sigma_logdet is its log-determinant.
     """
     values: np.ndarray
     vectors: np.ndarray
+    sigma_logdet: float
+    jitter: float
 
 
 def sym_eig(a):
@@ -93,10 +98,10 @@ def sym_eig(a):
 
 
 def ensure_spd(sigma):
-    """Return (sigma_eff, SymEig of sigma_eff) where sigma_eff is sigma,
-    jittered once on the diagonal if its smallest eigenvalue sits at or
-    below the floor. Raises NotPositiveDefiniteError, naming the offending
-    eigenvalue, if jitter does not rescue it.
+    """Return (sigma_eff, SymEig of sigma_eff) where sigma_eff is sigma
+    itself, or sigma jittered once on the diagonal if its smallest
+    eigenvalue sits at or below the floor. Raises NotPositiveDefiniteError,
+    naming the offending eigenvalue, if jitter does not rescue it.
     """
     sigma = check_square_symmetric(sigma, "sigma")
     dim = sigma.shape[0]
@@ -112,46 +117,51 @@ def ensure_spd(sigma):
     return jittered, eig
 
 
-def whiten(sigma):
-    """Whitening transform T with T Sigma T' = I, built as Lambda^{-1/2} U'.
-
-    Near-singular input gets one shot of diagonal jitter (see module
-    constants); T then whitens the jittered matrix.
-    """
-    t, _ = whiten_with_eig(sigma)
-    return t
-
-
-def whiten_with_eig(sigma):
-    """As whiten(), also returning the SymEig of the (possibly jittered) Sigma."""
-    _, eig = ensure_spd(sigma)
+def _whitener(sigma):
+    """(T, log|sigma_eff|, jitter) with T sigma_eff T' = I. T is L^{-1} when
+    1 / ||L^{-1}||_F^2 = 1 / trace(sigma^{-1}), a lower bound on the smallest
+    eigenvalue, clears the jitter floor; otherwise ensure_spd decides on the
+    spectrum and T = Lambda^{-1/2} U'."""
+    scale = np.trace(sigma) / sigma.shape[0]
+    try:
+        chol = np.linalg.cholesky(sigma)
+        t = np.linalg.inv(chol)
+        if 1.0 / np.einsum("ij,ij->", t, t) > JITTER_FLOOR * scale:
+            return t, 2.0 * float(np.log(np.diag(chol)).sum()), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    sigma_eff, eig = ensure_spd(sigma)
+    jitter = 0.0 if sigma_eff is sigma else JITTER_SCALE * scale
     t = eig.vectors.T / np.sqrt(eig.values)[:, None]
-    return t, eig
+    return t, float(np.log(eig.values).sum()), jitter
+
+
+def whiten(sigma):
+    """Whitening transform T with T Sigma T' = I, normally L^{-1}. Near-singular
+    Sigma gets one shot of diagonal jitter; T then whitens the jittered matrix."""
+    return _whitener(check_square_symmetric(sigma, "sigma"))[0]
 
 
 def gen_eig_spd(a, sigma):
     """All eigenpairs of the symmetric-definite problem A S = Sigma S D.
 
-    Parameters
-    ----------
-    a : (n, n) symmetric array.
-    sigma : (n, n) symmetric positive definite array (jitter policy applies).
-
-    Returns
-    -------
-    GenEig with the full spectrum sorted descending and S normalized so
-    that S' Sigma S = I.
-
-    The reduction whitens with Sigma's eigenbasis, solves the standard
-    symmetric problem on T A T', and maps the eigenvectors back as S = T' V.
+    a and sigma are (n, n) symmetric; sigma must be positive definite after
+    the jitter policy (decided as ensure_spd does). Returns GenEig with the
+    spectrum sorted descending and S' Sigma S = I. One reduction, one
+    eigensolve: Sigma = v I exactly gives C = A / v, S = V / sqrt(v); any
+    other Sigma gives C = T A T', S = T' V with T = L^{-1} (see _whitener).
     """
     a = check_square_symmetric(a, "a")
     sigma = check_square_symmetric(sigma, "sigma")
     if a.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: a is {a.shape}, sigma is {sigma.shape}")
-    t = whiten(sigma)
-    a_hat = t @ a @ t.T
-    a_hat = 0.5 * (a_hat + a_hat.T)  # symmetrize roundoff before eigh
-    inner = sym_eig(a_hat)
-    s = _fix_signs(t.T @ inner.vectors)
-    return GenEig(inner.values, s)
+    dim, v = a.shape[0], sigma[0, 0]
+    if v > 0 and np.count_nonzero(sigma) == dim and (np.diagonal(sigma) == v).all():
+        t, logdet, jitter = 1.0 / np.sqrt(v), dim * float(np.log(v)), 0.0
+        reduced = a / v
+    else:
+        t, logdet, jitter = _whitener(sigma)
+        reduced = t @ a @ t.T
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    s = vectors * t if np.ndim(t) == 0 else t.T @ vectors
+    return GenEig(values[::-1], _fix_signs(s[:, ::-1]), logdet, jitter)

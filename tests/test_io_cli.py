@@ -223,3 +223,45 @@ def test_outdir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("RCA_OUTDIR", str(envdir))
     assert run_cli("rca", "--gram", str(gram), "--sigma", "identity:1.0") == 0
     assert (envdir / "manifest.txt").exists()
+
+
+def test_rca_rerun_with_zero_rank_removes_stale_loadings(tmp_path):
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((4, 2)) * 3.0
+    planted, flat = tmp_path / "planted.csv", tmp_path / "flat.csv"
+    save_csv(planted, np.eye(4) + w @ w.T)
+    save_csv(flat, np.eye(4))
+    out = tmp_path / "out"
+    assert run_cli("rca", "--gram", str(planted), "--sigma", "identity:1.0",
+                   "-o", str(out)) == 0
+    assert read_manifest(out / "manifest.txt")["q"] == "2"
+    assert (out / "loadings.csv").exists()
+    assert run_cli("rca", "--gram", str(flat), "--sigma", "identity:1.0",
+                   "-o", str(out)) == 0
+    assert read_manifest(out / "manifest.txt")["q"] == "0"
+    assert not (out / "loadings.csv").exists()
+
+
+def test_itrca_rerun_with_empty_model_removes_stale_blocks(tmp_path):
+    shr = tmp_path / "shr"
+    assert run_cli("synth-shared", "--seed", "4", "--n", "250", "-o", str(shr)) == 0
+    fit = tmp_path / "fit"
+    assert run_cli("itrca", "--y1", str(shr / "y1.csv"), "--y2", str(shr / "y2.csv"),
+                   "--alpha", "0.1", "-o", str(fit)) == 0
+    blocks = ("w1.csv", "w2.csv", "v1.csv", "v2.csv")
+    assert all((fit / name).exists() for name in blocks)
+
+    rng = np.random.default_rng(9)
+    basis, _ = np.linalg.qr(rng.standard_normal((100, 9)))
+    y = basis * 10.0
+    y1p, y2p = tmp_path / "y1.csv", tmp_path / "y2.csv"
+    save_csv(y1p, y[:, :5])
+    save_csv(y2p, y[:, 5:])
+    assert run_cli("itrca", "--y1", str(y1p), "--y2", str(y2p),
+                   "--alpha", "0.9", "-o", str(fit)) == 0
+    manifest = read_manifest(fit / "manifest.txt")
+    assert (manifest["q1"], manifest["q2"], manifest["q_shared"]) == ("0", "0", "0")
+    assert not any((fit / name).exists() for name in blocks)
+    pred = tmp_path / "pred"
+    assert run_cli("predict", "--model-dir", str(fit), "--y2", str(y2p),
+                   "-o", str(pred)) == 0

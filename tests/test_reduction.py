@@ -3,6 +3,8 @@ covariance specs against their dense forms, joint scaling, the likelihood
 against a direct evaluation, and the jitter and semidefiniteness rules at
 their thresholds."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,12 @@ from rca.core import (
     Explicit,
     LowRankPlusNoise,
     ScaledIdentity,
+    ppca_fit,
     rca_fit,
 )
+from rca.cca import cca_fit
+from rca.itrca import iterative_rca
+from rca.synth import make_shared_private
 from rca.linalg import JITTER_FLOOR, NotPositiveDefiniteError, ensure_spd
 
 P = 12
@@ -140,6 +146,7 @@ def test_jitter_decision_matches_ensure_spd(seed, factor, jittered):
     assert (not np.array_equal(sigma_eff, sigma)) == jittered
     gram = planted_gram(rng, sigma)
     fit = rca_fit(gram, Explicit(sigma))
+    assert (fit.eig.jitter > 0) == jittered
     s = fit.eig.vectors
     # S is normalized against exactly the covariance ensure_spd settles on;
     # the other choice would put ~0.01 or ~100 on one diagonal entry
@@ -154,6 +161,7 @@ def test_rank_deficient_sigma_still_fits():
     assert not np.array_equal(sigma_eff, sigma)
     gram = planted_gram(rng, sigma + np.eye(P))
     fit = rca_fit(gram, Explicit(sigma))
+    assert fit.eig.jitter > 0
     assert np.isfinite(fit.eig.values).all() and np.isfinite(fit.log_likelihood)
     assert np.isfinite(fit.loadings).all()
     s = fit.eig.vectors
@@ -184,3 +192,85 @@ def test_gram_semidefinite_threshold(spec, factor, accepted):
     else:
         with pytest.raises(ValueError, match="semidefinite"):
             rca_fit(gram, spec)
+
+
+# ---------------------------------------------------------------- decomposition budget
+
+DECOMPOSITIONS = ("eigh", "eigvalsh", "cholesky", "solve", "inv", "svd", "qr",
+                  "slogdet", "det", "eig", "lstsq", "pinv")
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts of np.linalg decomposition calls; clear() before the call
+    under test, since building inputs may use np.linalg too."""
+    counts = Counter()
+    for name in DECOMPOSITIONS:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def dense_specs(rng):
+    b1, b2 = random_spd(rng, 7), random_spd(rng, 5)
+    factors = rng.standard_normal((P, 3))
+    return {"explicit": Explicit(random_spd(rng, P)),
+            "blocks": BlockDiagonal((b1, b2)),
+            "lowrank": LowRankPlusNoise(factors, 0.7)}
+
+
+@pytest.mark.parametrize("kind", ["explicit", "blocks", "lowrank"])
+def test_dense_fit_factors_once_and_solves_once(lapack_calls, kind):
+    rng = np.random.default_rng(900)
+    spec = dense_specs(rng)[kind]
+    gram = planted_gram(rng, np.eye(P))
+    lapack_calls.clear()
+    rca_fit(gram, spec)
+    assert lapack_calls["eigh"] == 1
+    assert lapack_calls["cholesky"] <= 1 and lapack_calls["inv"] <= 1
+    assert sum(lapack_calls.values()) == (lapack_calls["eigh"] + lapack_calls["cholesky"]
+                                          + lapack_calls["inv"])
+
+
+def test_scaled_identity_fit_is_one_eigensolve(lapack_calls):
+    rng = np.random.default_rng(901)
+    gram = planted_gram(rng, np.eye(P))
+    y = rng.standard_normal((40, P))
+    for fit in (lambda: rca_fit(gram, ScaledIdentity(0.8)),
+                lambda: rca_fit(gram, 0.8 * np.eye(P)),
+                lambda: ppca_fit(y, 0.5)):
+        lapack_calls.clear()
+        fit()
+        assert lapack_calls == Counter(eigh=1)
+
+
+def test_cca_fit_budget(lapack_calls):
+    rng = np.random.default_rng(902)
+    z = rng.standard_normal((200, 2))
+    y1 = z @ rng.standard_normal((2, 6)) + rng.standard_normal((200, 6))
+    y2 = z @ rng.standard_normal((2, 4)) + rng.standard_normal((200, 4))
+    lapack_calls.clear()
+    cca_fit(y1, y2)
+    assert lapack_calls["eigh"] == 1
+    assert set(lapack_calls) <= {"eigh", "cholesky", "inv"}
+    assert lapack_calls["cholesky"] <= 1 and lapack_calls["inv"] <= 1
+
+
+def test_iterative_rca_budget_does_not_grow_with_n(lapack_calls):
+    passes = 3
+    per_n = []
+    for n in (300, 600):
+        y1, y2, _ = make_shared_private(12, n=n)
+        lapack_calls.clear()
+        model = iterative_rca(y1, y2, alpha=0.1, tol=1e-300, max_iter=passes)
+        assert model.n_iter == passes
+        per_n.append(Counter(lapack_calls))
+    assert per_n[0] == per_n[1]
+    calls = per_n[0]
+    assert set(calls) <= {"eigh", "cholesky", "inv"}
+    # per pass: three fits (one eigensolve each, at most one factor and one
+    # inverse each) and one factor plus inverse for the likelihood
+    assert calls["eigh"] == 3 * passes
+    assert calls["cholesky"] <= 4 * passes and calls["inv"] <= 4 * passes
