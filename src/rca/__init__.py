@@ -6,12 +6,10 @@ from .cca import CcaFit, cca_fit, cca_oracle
 from .core import (
     BlockDiagonal,
     Explicit,
-    KernelCovariance,
     LowRankPlusNoise,
     RcaFit,
     ScaledIdentity,
     log_marginal,
-    materialize,
     ppca_fit,
     rca_fit,
 )
@@ -30,23 +28,15 @@ from .itrca import (
     rms_error,
 )
 from .kernels import KernelSpec, rbf_gram
-from .linalg import (
-    GenEig,
-    NotPositiveDefiniteError,
-    SymEig,
-    gen_eig_spd,
-    sym_eig,
-    whiten,
-)
+from .linalg import GenEig, NotPositiveDefiniteError, gen_eig_spd
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockDiagonal", "CcaFit", "Explicit", "GenEig", "KernelCovariance",
-    "KernelSpec", "LowRankPlusNoise", "NotPositiveDefiniteError", "RcaFit",
-    "RocCurve", "ScaledIdentity", "ScoredRanking", "SharedPrivateModel",
-    "SymEig", "TimeSeriesPair", "cca_fit", "cca_oracle", "gen_eig_spd",
-    "iterative_rca", "joint_log_marginal", "log_marginal", "materialize",
-    "ppca_fit", "predict_view1", "rbf_gram", "residual_scores", "rms_error",
-    "roc_curve", "rca_fit", "sym_eig", "whiten",
+    "BlockDiagonal", "CcaFit", "Explicit", "GenEig", "KernelSpec",
+    "LowRankPlusNoise", "NotPositiveDefiniteError", "RcaFit", "RocCurve",
+    "ScaledIdentity", "ScoredRanking", "SharedPrivateModel", "TimeSeriesPair",
+    "cca_fit", "cca_oracle", "gen_eig_spd", "iterative_rca",
+    "joint_log_marginal", "log_marginal", "ppca_fit", "predict_view1",
+    "rbf_gram", "residual_scores", "rms_error", "roc_curve", "rca_fit",
 ]

@@ -44,13 +44,21 @@ def _path(out, name):
     return os.path.join(out, name)
 
 
+def _remove_stale(out, name):
+    # a file an earlier run left under a name this run does not produce must
+    # not outlive it beside the new manifest
+    try:
+        os.remove(_path(out, name))
+    except FileNotFoundError:
+        pass
+
+
 def _save_block(out, name, block):
-    # zero-column blocks have no dense-CSV form; the manifest records the rank,
-    # and a file an earlier run left under that name must not outlive it
+    # zero-column blocks have no dense-CSV form; the manifest records the rank
     if block.shape[1] > 0:
         save_csv(_path(out, name), block)
-    elif os.path.exists(_path(out, name)):
-        os.remove(_path(out, name))
+    else:
+        _remove_stale(out, name)
 
 
 def parse_sigma_spec(text):
@@ -179,6 +187,8 @@ def cmd_diffexpr(args):
                       "gene_id,score,rank\n" + rows + "\n")
     if roc_text is not None:
         atomic_write_text(_path(out, "roc.csv"), roc_text)
+    else:
+        _remove_stale(out, "roc.csv")
     write_manifest(_path(out, "manifest.txt"), manifest)
     return 0
 
@@ -250,6 +260,8 @@ def cmd_predict(args):
         rms = rms_error(pred, truth)
         atomic_write_text(_path(out, "rms.txt"), f"rms={rms:.17g}\n")
         manifest["rms"] = rms
+    else:
+        _remove_stale(out, "rms.txt")
     write_manifest(_path(out, "manifest.txt"), manifest)
     return 0
 

@@ -19,24 +19,26 @@ from .linalg import (
     NotPositiveDefiniteError,
     as_matrix,
     check_square_symmetric,
-    ensure_spd,
     gen_eig_spd,
 )
-from .kernels import rbf_gram
 
 # Eigenvalues within RANK_TOL above 1 are treated as noise and dropped.
 RANK_TOL = 1e-10
 
 
 # ------------------------------------------------------------------ covariance specs
+#
+# Each spec's materialize(dim) validates only what the caller gave it (the
+# matrices, the factors, the scalars) and builds the dense dim x dim Sigma;
+# rca_fit checks the gram, so every input is checked exactly once per fit.
 
 @dataclass(frozen=True)
 class ScaledIdentity:
     variance: float
 
     def materialize(self, dim):
-        if self.variance <= 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not 0 < self.variance < np.inf:
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
         return self.variance * np.eye(dim)
 
 
@@ -48,7 +50,7 @@ class Explicit:
         m = check_square_symmetric(self.matrix, "explicit covariance")
         if m.shape[0] != dim:
             raise ValueError(f"covariance is {m.shape[0]}x{m.shape[0]}, expected {dim}")
-        return m.copy()
+        return m
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,8 @@ class LowRankPlusNoise:
             raise ValueError(f"factors have {f.shape[0]} rows, expected {dim}")
         if self.variance < 0:
             raise ValueError(f"noise variance must be nonnegative, got {self.variance}")
-        return f @ f.T + self.variance * np.eye(dim)
+        # a NaN or infinite variance, or factors whose products overflow
+        return as_matrix(f @ f.T + self.variance * np.eye(dim), "low-rank covariance")
 
 
 @dataclass(frozen=True)
@@ -85,34 +88,8 @@ class BlockDiagonal:
         return out
 
 
-@dataclass(frozen=True)
-class KernelCovariance:
-    """Gram matrix of a kernel over fixed inputs (see rca.kernels)."""
-    spec: object
-    times: np.ndarray
-    data_variance: float | None = None
-
-    def materialize(self, dim):
-        times = np.asarray(self.times, dtype=float)
-        if times.shape[0] != dim:
-            raise ValueError(f"{times.shape[0]} kernel inputs, expected {dim}")
-        return rbf_gram(times, self.spec, data_variance=self.data_variance)
-
-
 def _dense(spec, dim):
     return (Explicit(spec) if isinstance(spec, np.ndarray) else spec).materialize(dim)
-
-
-def materialize(spec, dim):
-    """Build the covariance a spec describes and check it is usable.
-
-    The returned matrix is symmetric dim x dim and passes the same
-    positive-definiteness check (including the one-shot jitter policy) that
-    the generalized eigensolver applies.
-    """
-    sigma = check_square_symmetric(_dense(spec, dim), "covariance")
-    ensure_spd(sigma)  # raises NotPositiveDefiniteError if unusable
-    return sigma
 
 
 # ------------------------------------------------------------------ fits
@@ -129,11 +106,6 @@ class RcaFit:
     loadings: np.ndarray
     log_likelihood: float
     mean: np.ndarray | None = None
-
-
-def retained_rank(values, tol=RANK_TOL):
-    """Number of eigenvalues above the unit noise level (strictly > 1 + tol)."""
-    return int(np.sum(values > 1.0 + tol))
 
 
 def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
@@ -159,7 +131,7 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     gram = check_square_symmetric(gram, "gram")
     p = gram.shape[0]
     sig = _dense(sigma, p)
-    eig = gen_eig_spd(gram, sig)
+    eig = gen_eig_spd(gram, sig, validate=False)
     d = eig.values
     # Sylvester's inertia: d_min < 0 gives lambda_min(G) >= d_min trace(Sigma),
     # which settles semidefiniteness unless the bound is inconclusive.
@@ -167,7 +139,7 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     if d[-1] < 0 and d[-1] * (np.trace(sig) + p * eig.jitter) < floor \
             and np.linalg.eigvalsh(gram).min() < floor:
         raise ValueError("gram matrix is not positive semidefinite")
-    q = retained_rank(d, tol=rank_tol)
+    q = int(np.sum(d > 1.0 + rank_tol))
     s_q = eig.vectors[:, :q]
     loadings = (sig @ s_q + eig.jitter * s_q) * np.sqrt(d[:q] - 1.0)
     # At the ML solution K = X X' + Sigma has log|K| = log|Sigma| +

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import retained_rank
+from .core import Explicit, rca_fit
 from .kernels import rbf_gram
-from .linalg import as_matrix, gen_eig_spd
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,12 @@ def residual_scores(pair, spec, standardize=True):
     data_variance = float(y.var(axis=0).mean())
 
     k = rbf_gram(times, spec, data_variance=data_variance)
-    eig = gen_eig_spd(y @ y.T / d, k)
-    q = retained_rank(eig.values)
+    fit = rca_fit(y @ y.T / d, Explicit(k))
+    q = fit.q
     if q == 0:
         scores = np.zeros(d)
     else:
-        projected = eig.vectors[:, :q].T @ y
+        projected = fit.eig.vectors[:, :q].T @ y
         scores = np.linalg.norm(projected, axis=0)
     order = np.argsort(-scores, kind="stable")
     return ScoredRanking(scores=scores, order=order, q_used=q)

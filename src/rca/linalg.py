@@ -1,4 +1,4 @@
-"""Dense symmetric and symmetric-definite generalized eigendecompositions.
+"""The dense symmetric-definite generalized eigensolver.
 
 The generalized solver reduces ``A S = Sigma S D`` to one standard symmetric
 eigenproblem by the Cholesky route (Golub & Van Loan, Matrix Computations,
@@ -54,17 +54,6 @@ def _fix_signs(vectors):
 
 
 @dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix.
-
-    values are sorted non-increasing; column i of vectors pairs with
-    values[i] and the columns are orthonormal.
-    """
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class GenEig:
     """Solution of the symmetric-definite problem A S = Sigma S diag(values).
 
@@ -79,41 +68,23 @@ class GenEig:
     jitter: float
 
 
-def sym_eig(a):
-    """Eigendecomposition of a symmetric matrix.
-
-    Parameters
-    ----------
-    a : (n, n) array, symmetric within ``SYMMETRY_RTOL * ||a||``.
-
-    Returns
-    -------
-    SymEig with values sorted descending and a deterministic sign convention
-    on the eigenvectors.
-    """
-    a = check_square_symmetric(a, "a")
-    values, vectors = np.linalg.eigh(a)
-    order = np.argsort(values)[::-1]
-    return SymEig(values[order], _fix_signs(vectors[:, order]))
-
-
 def ensure_spd(sigma):
-    """Return (sigma_eff, SymEig of sigma_eff) where sigma_eff is sigma
-    itself, or sigma jittered once on the diagonal if its smallest
-    eigenvalue sits at or below the floor. Raises NotPositiveDefiniteError,
-    naming the offending eigenvalue, if jitter does not rescue it.
+    """Return (sigma_eff, eigh of sigma_eff) where sigma_eff is sigma itself,
+    or sigma jittered once on the diagonal if its smallest eigenvalue sits at
+    or below the floor. sigma must already be checked square and symmetric.
+    Raises NotPositiveDefiniteError, naming the offending eigenvalue, if
+    jitter does not rescue it.
     """
-    sigma = check_square_symmetric(sigma, "sigma")
     dim = sigma.shape[0]
-    eig = sym_eig(sigma)
-    if eig.values[-1] > JITTER_FLOOR * np.trace(sigma) / dim:
+    eig = np.linalg.eigh(sigma)
+    if eig.eigenvalues[0] > JITTER_FLOOR * np.trace(sigma) / dim:
         return sigma, eig
     jittered = sigma + (JITTER_SCALE * np.trace(sigma) / dim) * np.eye(dim)
-    eig = sym_eig(jittered)
-    if eig.values[-1] <= JITTER_FLOOR * np.trace(jittered) / dim:
+    eig = np.linalg.eigh(jittered)
+    if eig.eigenvalues[0] <= JITTER_FLOOR * np.trace(jittered) / dim:
         raise NotPositiveDefiniteError(
             f"covariance not positive definite: smallest eigenvalue "
-            f"{eig.values[-1]:.6e} after jitter")
+            f"{eig.eigenvalues[0]:.6e} after jitter")
     return jittered, eig
 
 
@@ -130,19 +101,13 @@ def _whitener(sigma):
             return t, 2.0 * float(np.log(np.diag(chol)).sum()), 0.0
     except np.linalg.LinAlgError:
         pass
-    sigma_eff, eig = ensure_spd(sigma)
+    sigma_eff, (values, vectors) = ensure_spd(sigma)
     jitter = 0.0 if sigma_eff is sigma else JITTER_SCALE * scale
-    t = eig.vectors.T / np.sqrt(eig.values)[:, None]
-    return t, float(np.log(eig.values).sum()), jitter
+    t = vectors.T / np.sqrt(values)[:, None]
+    return t, float(np.log(values).sum()), jitter
 
 
-def whiten(sigma):
-    """Whitening transform T with T Sigma T' = I, normally L^{-1}. Near-singular
-    Sigma gets one shot of diagonal jitter; T then whitens the jittered matrix."""
-    return _whitener(check_square_symmetric(sigma, "sigma"))[0]
-
-
-def gen_eig_spd(a, sigma):
+def gen_eig_spd(a, sigma, *, validate=True):
     """All eigenpairs of the symmetric-definite problem A S = Sigma S D.
 
     a and sigma are (n, n) symmetric; sigma must be positive definite after
@@ -150,11 +115,15 @@ def gen_eig_spd(a, sigma):
     spectrum sorted descending and S' Sigma S = I. One reduction, one
     eigensolve: Sigma = v I exactly gives C = A / v, S = V / sqrt(v); any
     other Sigma gives C = T A T', S = T' V with T = L^{-1} (see _whitener).
+
+    validate=False skips the input checks, for a caller that has already
+    checked both matrices and their shapes (rca_fit checks each input once).
     """
-    a = check_square_symmetric(a, "a")
-    sigma = check_square_symmetric(sigma, "sigma")
-    if a.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: a is {a.shape}, sigma is {sigma.shape}")
+    if validate:
+        a = check_square_symmetric(a, "a")
+        sigma = check_square_symmetric(sigma, "sigma")
+        if a.shape != sigma.shape:
+            raise ValueError(f"dimension mismatch: a is {a.shape}, sigma is {sigma.shape}")
     dim, v = a.shape[0], sigma[0, 0]
     if v > 0 and np.count_nonzero(sigma) == dim and (np.diagonal(sigma) == v).all():
         t, logdet, jitter = 1.0 / np.sqrt(v), dim * float(np.log(v)), 0.0

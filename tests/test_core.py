@@ -7,11 +7,14 @@ from rca.core import (
     LowRankPlusNoise,
     ScaledIdentity,
     log_marginal,
-    materialize,
     ppca_fit,
     rca_fit,
 )
+from rca.cca import cca_fit
+from rca.diffexpr import TimeSeriesPair, residual_scores
+from rca.kernels import KernelSpec
 from rca.linalg import NotPositiveDefiniteError, gen_eig_spd
+from rca.synth import make_diffexpr_pair
 
 from oracles import gaussian_loglik, tipping_bishop_loadings
 
@@ -31,35 +34,40 @@ def match_columns_up_to_sign(a, b, atol):
 # ---------------------------------------------------------------- materialize
 
 def test_materialize_scaled_identity():
-    np.testing.assert_allclose(materialize(ScaledIdentity(2.0), 3), 2.0 * np.eye(3))
+    np.testing.assert_allclose(ScaledIdentity(2.0).materialize(3), 2.0 * np.eye(3))
 
 
 def test_materialize_low_rank_plus_noise():
     spec = LowRankPlusNoise(np.array([[1.0], [1.0]]), 1.0)
-    np.testing.assert_allclose(materialize(spec, 2), [[2.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_allclose(spec.materialize(2), [[2.0, 1.0], [1.0, 2.0]])
 
 
 def test_materialize_block_diagonal():
     spec = BlockDiagonal((np.eye(2), np.array([[3.0]])))
-    np.testing.assert_allclose(materialize(spec, 3), np.diag([1.0, 1.0, 3.0]))
+    np.testing.assert_allclose(spec.materialize(3), np.diag([1.0, 1.0, 3.0]))
 
 
 def test_materialize_kernel_covariance():
-    from rca.core import KernelCovariance
+    # a kernel Gram is an explicit covariance (residual_scores builds it so)
     from rca.kernels import ABSOLUTE, KernelSpec, rbf_gram
     times = np.array([0.0, 10.0, 30.0])
     spec = KernelSpec(20.0, 1e-4, ABSOLUTE)
-    built = materialize(KernelCovariance(spec, times), 3)
+    built = Explicit(rbf_gram(times, spec)).materialize(3)
     np.testing.assert_array_equal(built, rbf_gram(times, spec))
-    with pytest.raises(ValueError, match="kernel inputs"):
-        materialize(KernelCovariance(spec, times), 4)
+    with pytest.raises(ValueError, match="expected 4"):
+        Explicit(rbf_gram(times, spec)).materialize(4)
 
 
 def test_materialize_errors():
     with pytest.raises(ValueError, match="expected 3"):
-        materialize(Explicit(np.eye(2)), 3)
+        Explicit(np.eye(2)).materialize(3)
     with pytest.raises(NotPositiveDefiniteError):
-        materialize(Explicit(np.diag([1.0, -2.0])), 2)
+        rca_fit(np.eye(2), Explicit(np.diag([1.0, -2.0])))
+    # specs built from scalars and factors reject a non-finite result themselves
+    with pytest.raises(ValueError, match="finite"):
+        ScaledIdentity(np.nan).materialize(2)
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+        LowRankPlusNoise(np.full((2, 1), 1e200), 1.0).materialize(2)
 
 
 # ---------------------------------------------------------------- rca_fit
@@ -220,3 +228,38 @@ def test_rank_monotone_in_noise():
     ranks = [rca_fit(cov, ScaledIdentity(s2)).q
              for s2 in (0.05, 0.2, 0.8, 2.0, 8.0, 32.0)]
     assert ranks == sorted(ranks, reverse=True)
+
+
+# ---------------------------------------------------------------- caller inputs
+
+def caller_input_cases():
+    """name -> (arrays the caller owns, call that receives them)."""
+    rng = np.random.default_rng(41)
+    sigma = random_spd(rng, 8)
+    w = rng.standard_normal((8, 2))
+    gram = sigma + 4.0 * w @ w.T
+    factors = rng.standard_normal((8, 2))
+    b1, b2 = random_spd(rng, 5), random_spd(rng, 3)
+    singular = factors @ factors.T  # rank 2: the fit jitters it
+    y = rng.standard_normal((40, 6))
+    y1, y2 = y[:, :4].copy(), y[:, 4:].copy()
+    e1, e2, t1, t2, _ = make_diffexpr_pair(4, n_genes=30)
+    return {
+        "explicit": ((gram, sigma), lambda: rca_fit(gram, Explicit(sigma))),
+        "explicit_jittered": ((gram, singular), lambda: rca_fit(gram, Explicit(singular))),
+        "identity": ((gram,), lambda: rca_fit(gram, ScaledIdentity(0.5))),
+        "lowrank": ((gram, factors), lambda: rca_fit(gram, LowRankPlusNoise(factors, 0.5))),
+        "blocks": ((gram, b1, b2), lambda: rca_fit(gram, BlockDiagonal((b1, b2)))),
+        "gen_eig_spd": ((gram, sigma), lambda: gen_eig_spd(gram, sigma)),
+        "cca_fit": ((y1, y2), lambda: cca_fit(y1, y2)),
+        "residual_scores": ((e1, e2, t1, t2), lambda: residual_scores(
+            TimeSeriesPair(e1, e2, t1, t2), KernelSpec())),
+    }
+
+
+@pytest.mark.parametrize("name", list(caller_input_cases()))
+def test_fits_leave_caller_arrays_unchanged(name):
+    arrays, call = caller_input_cases()[name]
+    before = [a.tobytes() for a in arrays]
+    call()
+    assert [a.tobytes() for a in arrays] == before

@@ -265,3 +265,34 @@ def test_itrca_rerun_with_empty_model_removes_stale_blocks(tmp_path):
     pred = tmp_path / "pred"
     assert run_cli("predict", "--model-dir", str(fit), "--y2", str(y2p),
                    "-o", str(pred)) == 0
+
+
+def test_diffexpr_rerun_without_labels_removes_stale_roc(tmp_path):
+    syn = tmp_path / "syn"
+    assert run_cli("synth-diffexpr", "--seed", "2", "--genes", "40", "--planted", "4",
+                   "-o", str(syn)) == 0
+    inputs = ("--y1", str(syn / "y1.csv"), "--y2", str(syn / "y2.csv"),
+              "--t1", str(syn / "t1.csv"), "--t2", str(syn / "t2.csv"))
+    out = tmp_path / "out"
+    assert run_cli("diffexpr", *inputs, "--labels", str(syn / "labels.csv"),
+                   "-o", str(out)) == 0
+    assert (out / "roc.csv").exists()
+    assert run_cli("diffexpr", *inputs, "-o", str(out)) == 0
+    assert "auc" not in read_manifest(out / "manifest.txt")
+    assert not (out / "roc.csv").exists()
+
+
+def test_predict_rerun_without_truth_removes_stale_rms(tmp_path):
+    shr = tmp_path / "shr"
+    assert run_cli("synth-shared", "--seed", "4", "--n", "250", "-o", str(shr)) == 0
+    fit = tmp_path / "fit"
+    assert run_cli("itrca", "--y1", str(shr / "y1.csv"), "--y2", str(shr / "y2.csv"),
+                   "--alpha", "0.1", "-o", str(fit)) == 0
+    inputs = ("--model-dir", str(fit), "--y2", str(shr / "y2.csv"))
+    pred = tmp_path / "pred"
+    assert run_cli("predict", *inputs, "--truth", str(shr / "y1.csv"),
+                   "-o", str(pred)) == 0
+    assert (pred / "rms.txt").exists()
+    assert run_cli("predict", *inputs, "-o", str(pred)) == 0
+    assert "rms" not in read_manifest(pred / "manifest.txt")
+    assert not (pred / "rms.txt").exists()

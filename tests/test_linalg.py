@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rca.linalg import (
-    NotPositiveDefiniteError,
-    gen_eig_spd,
-    sym_eig,
-    whiten,
-)
+from rca.linalg import NotPositiveDefiniteError, gen_eig_spd
 
 from oracles import jacobi_eigh, power_deflation_gen_eigvals
 
@@ -17,17 +12,19 @@ def random_spd(rng, n, shift=1.0):
     return c.T @ c + shift * np.eye(n)
 
 
-# ---------------------------------------------------------------- sym_eig
+# ---------------------------------------------------------------- standard problem
+# gen_eig_spd(a, I) is the library's symmetric eigensolver: same ordering,
+# sign convention and input checks as against any other Sigma.
 
 def test_sym_eig_identity():
-    eig = sym_eig(np.eye(3))
+    eig = gen_eig_spd(np.eye(3), np.eye(3))
     np.testing.assert_allclose(eig.values, np.ones(3))
     recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
     np.testing.assert_allclose(recon, np.eye(3), atol=1e-12)
 
 
 def test_sym_eig_diagonal():
-    eig = sym_eig(np.diag([4.0, 1.0]))
+    eig = gen_eig_spd(np.diag([4.0, 1.0]), np.eye(2))
     np.testing.assert_allclose(eig.values, [4.0, 1.0])
     np.testing.assert_allclose(np.abs(eig.vectors), np.eye(2), atol=1e-12)
     # sign convention: dominant entry positive
@@ -38,7 +35,7 @@ def test_sym_eig_matches_jacobi_oracle():
     rng = np.random.default_rng(7)
     a = rng.standard_normal((6, 6))
     a = 0.5 * (a + a.T)
-    eig = sym_eig(a)
+    eig = gen_eig_spd(a, np.eye(6))
     recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
     assert np.linalg.norm(recon - a) <= 1e-8 * np.linalg.norm(a)
     vals_oracle, _ = jacobi_eigh(a)
@@ -48,30 +45,32 @@ def test_sym_eig_matches_jacobi_oracle():
 def test_sym_eig_orthonormal_columns():
     rng = np.random.default_rng(8)
     a = random_spd(rng, 5)
-    eig = sym_eig(a)
+    eig = gen_eig_spd(a, np.eye(5))
     np.testing.assert_allclose(eig.vectors.T @ eig.vectors, np.eye(5), atol=1e-10)
     assert (np.diff(eig.values) <= 1e-12).all()
 
 
 def test_sym_eig_rejects_nonsquare_and_asymmetric():
     with pytest.raises(ValueError, match="square"):
-        sym_eig(np.ones((2, 3)))
+        gen_eig_spd(np.ones((2, 3)), np.eye(2))
     with pytest.raises(ValueError, match="symmetric"):
-        sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        gen_eig_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
     with pytest.raises(ValueError, match="finite"):
-        sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        gen_eig_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2))
 
 
-# ---------------------------------------------------------------- whiten
+# ---------------------------------------------------------------- whitening
+# gen_eig_spd(I, Sigma) returns S with S' Sigma S = I: S' is a whitening
+# transform of Sigma (of the jittered Sigma when the jitter policy fires).
 
 def test_whiten_identity_gives_orthogonal():
-    t = whiten(np.eye(4))
+    t = gen_eig_spd(np.eye(4), np.eye(4)).vectors.T
     np.testing.assert_allclose(t @ t.T, np.eye(4), atol=1e-12)
 
 
 def test_whiten_diagonal():
     sigma = np.diag([4.0, 9.0])
-    t = whiten(sigma)
+    t = gen_eig_spd(np.eye(2), sigma).vectors.T
     np.testing.assert_allclose(t @ sigma @ t.T, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(np.sort(np.abs(t[t != 0.0])), [1 / 3, 1 / 2])
 
@@ -79,7 +78,7 @@ def test_whiten_diagonal():
 def test_whiten_random_spd():
     rng = np.random.default_rng(11)
     sigma = random_spd(rng, 5)
-    t = whiten(sigma)
+    t = gen_eig_spd(np.eye(5), sigma).vectors.T
     assert np.linalg.norm(t @ sigma @ t.T - np.eye(5)) <= 1e-8
     # invertible: T maps back through Sigma
     assert np.isfinite(np.linalg.cond(t))
@@ -89,10 +88,11 @@ def test_whiten_random_spd():
 def test_whiten_jitters_singular_then_fails_on_negative():
     # rank-deficient PSD: one zero eigenvalue -> jitter makes it pass
     v = np.array([[1.0], [1.0]])
-    t = whiten(v @ v.T)
-    assert np.isfinite(t).all()
+    eig = gen_eig_spd(np.eye(2), v @ v.T)
+    assert np.isfinite(eig.vectors).all()
+    assert eig.jitter > 0
     with pytest.raises(NotPositiveDefiniteError, match="eigenvalue"):
-        whiten(np.diag([1.0, -1.0]))
+        gen_eig_spd(np.eye(2), np.diag([1.0, -1.0]))
 
 
 # ---------------------------------------------------------------- gen_eig_spd
@@ -145,8 +145,8 @@ def test_gen_eig_with_identity_matches_sym_eig():
     a = rng.standard_normal((7, 7))
     a = 0.5 * (a + a.T)
     ge = gen_eig_spd(a, np.eye(7))
-    se = sym_eig(a)
-    np.testing.assert_allclose(ge.values, se.values, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(ge.values, np.linalg.eigvalsh(a)[::-1],
+                               rtol=1e-10, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -274,3 +274,54 @@ def test_iterative_rca_budget_does_not_grow_with_n(lapack_calls):
     # inverse each) and one factor plus inverse for the likelihood
     assert calls["eigh"] == 3 * passes
     assert calls["cholesky"] <= 4 * passes and calls["inv"] <= 4 * passes
+
+
+# ---------------------------------------------------------------- validation budget
+
+import rca  # noqa: E402
+from rca.diffexpr import TimeSeriesPair, residual_scores  # noqa: E402
+from rca.kernels import KernelSpec  # noqa: E402
+from rca.linalg import check_square_symmetric  # noqa: E402
+from rca.synth import make_diffexpr_pair  # noqa: E402
+
+
+@pytest.fixture
+def symmetry_checks(monkeypatch):
+    """Count of check_square_symmetric calls, wherever the library binds it;
+    reset it (calls[0] = 0) before the call under test."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return check_square_symmetric(*args, **kwargs)
+
+    for mod in (rca.cca, rca.core, rca.diffexpr, rca.itrca, rca.linalg):
+        for attr, obj in list(vars(mod).items()):
+            if obj is check_square_symmetric:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind,budget", [("explicit", 2), ("identity", 1),
+                                         ("lowrank", 1), ("blocks", 3)])
+def test_each_caller_matrix_is_checked_once_per_fit(symmetry_checks, kind, budget):
+    # one check for the gram plus one per matrix the spec was given
+    rng = np.random.default_rng(903)
+    specs = dict(dense_specs(rng), identity=ScaledIdentity(0.8))
+    gram = planted_gram(rng, np.eye(P))
+    symmetry_checks[0] = 0
+    rca_fit(gram, specs[kind])
+    assert symmetry_checks[0] == budget
+
+
+def test_fit_wrappers_check_each_matrix_once(symmetry_checks):
+    rng = np.random.default_rng(904)
+    y = rng.standard_normal((60, 9))
+    y1, y2, t1, t2, _ = make_diffexpr_pair(3, n_genes=40)
+    pair = TimeSeriesPair(y1, y2, t1, t2)
+    for fit, budget in ((lambda: ppca_fit(y, 0.5), 1),  # the sample covariance
+                        (lambda: cca_fit(y[:, :5], y[:, 5:]), 3),  # joint, two views
+                        (lambda: residual_scores(pair, KernelSpec()), 2)):  # gram, kernel
+        symmetry_checks[0] = 0
+        fit()
+        assert symmetry_checks[0] == budget
