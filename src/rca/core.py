@@ -28,17 +28,17 @@ RANK_TOL = 1e-10
 
 # ------------------------------------------------------------------ covariance specs
 #
-# Each spec's materialize(dim) validates only what the caller gave it (the
-# matrices, the factors, the scalars) and builds the dense dim x dim Sigma;
-# rca_fit checks the gram, so every input is checked exactly once per fit.
+# Each spec's materialize(dim) checks only the shapes and scalars it was
+# given and builds the dense dim x dim Sigma; gen_eig_spd checks the gram and
+# that Sigma (finite, square, symmetric), so each fit makes two such checks.
 
 @dataclass(frozen=True)
 class ScaledIdentity:
     variance: float
 
     def materialize(self, dim):
-        if not 0 < self.variance < np.inf:
-            raise ValueError(f"variance must be positive and finite, got {self.variance}")
+        if self.variance <= 0:
+            raise ValueError(f"variance must be positive, got {self.variance}")
         return self.variance * np.eye(dim)
 
 
@@ -47,9 +47,9 @@ class Explicit:
     matrix: np.ndarray
 
     def materialize(self, dim):
-        m = check_square_symmetric(self.matrix, "explicit covariance")
-        if m.shape[0] != dim:
-            raise ValueError(f"covariance is {m.shape[0]}x{m.shape[0]}, expected {dim}")
+        m = np.asarray(self.matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != dim:
+            raise ValueError(f"covariance has shape {m.shape}, expected {dim} rows")
         return m
 
 
@@ -65,8 +65,7 @@ class LowRankPlusNoise:
             raise ValueError(f"factors have {f.shape[0]} rows, expected {dim}")
         if self.variance < 0:
             raise ValueError(f"noise variance must be nonnegative, got {self.variance}")
-        # a NaN or infinite variance, or factors whose products overflow
-        return as_matrix(f @ f.T + self.variance * np.eye(dim), "low-rank covariance")
+        return f @ f.T + self.variance * np.eye(dim)
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,10 @@ class BlockDiagonal:
     blocks: tuple
 
     def materialize(self, dim):
-        blocks = [check_square_symmetric(b, f"block {i}")
-                  for i, b in enumerate(self.blocks)]
+        blocks = [np.asarray(b, dtype=float) for b in self.blocks]
+        for i, b in enumerate(blocks):
+            if b.ndim != 2 or b.shape[0] != b.shape[1]:
+                raise ValueError(f"block {i} must be square, got shape {b.shape}")
         total = sum(b.shape[0] for b in blocks)
         if total != dim:
             raise ValueError(f"blocks sum to dimension {total}, expected {dim}")
@@ -89,7 +90,7 @@ class BlockDiagonal:
 
 
 def _dense(spec, dim):
-    return (Explicit(spec) if isinstance(spec, np.ndarray) else spec).materialize(dim)
+    return (spec if hasattr(spec, "materialize") else Explicit(spec)).materialize(dim)
 
 
 # ------------------------------------------------------------------ fits
@@ -128,10 +129,10 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     -------
     RcaFit. Eigenvalues at or below 1 contribute nothing to the loadings.
     """
-    gram = check_square_symmetric(gram, "gram")
-    p = gram.shape[0]
+    gram = np.asarray(gram, dtype=float)
+    p = gram.shape[0] if gram.ndim else 0  # gen_eig_spd checks both matrices
     sig = _dense(sigma, p)
-    eig = gen_eig_spd(gram, sig, validate=False)
+    eig = gen_eig_spd(gram, sig)
     d = eig.values
     # Sylvester's inertia: d_min < 0 gives lambda_min(G) >= d_min trace(Sigma),
     # which settles semidefiniteness unless the bound is inconclusive.

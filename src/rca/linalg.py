@@ -107,23 +107,20 @@ def _whitener(sigma):
     return t, float(np.log(values).sum()), jitter
 
 
-def gen_eig_spd(a, sigma, *, validate=True):
+def gen_eig_spd(a, sigma):
     """All eigenpairs of the symmetric-definite problem A S = Sigma S D.
 
-    a and sigma are (n, n) symmetric; sigma must be positive definite after
-    the jitter policy (decided as ensure_spd does). Returns GenEig with the
-    spectrum sorted descending and S' Sigma S = I. One reduction, one
-    eigensolve: Sigma = v I exactly gives C = A / v, S = V / sqrt(v); any
-    other Sigma gives C = T A T', S = T' V with T = L^{-1} (see _whitener).
-
-    validate=False skips the input checks, for a caller that has already
-    checked both matrices and their shapes (rca_fit checks each input once).
+    a (the gram) and sigma are (n, n) symmetric; sigma must be positive
+    definite after the jitter policy (decided as ensure_spd does). Returns
+    GenEig with the spectrum sorted descending and S' Sigma S = I. One
+    reduction, one eigensolve: Sigma = v I exactly gives C = A / v,
+    S = V / sqrt(v); any other Sigma gives C = T A T', S = T' V with
+    T = L^{-1} (see _whitener).
     """
-    if validate:
-        a = check_square_symmetric(a, "a")
-        sigma = check_square_symmetric(sigma, "sigma")
-        if a.shape != sigma.shape:
-            raise ValueError(f"dimension mismatch: a is {a.shape}, sigma is {sigma.shape}")
+    a = check_square_symmetric(a, "gram")
+    sigma = check_square_symmetric(sigma, "sigma")
+    if a.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: gram is {a.shape}, sigma is {sigma.shape}")
     dim, v = a.shape[0], sigma[0, 0]
     if v > 0 and np.count_nonzero(sigma) == dim and (np.diagonal(sigma) == v).all():
         t, logdet, jitter = 1.0 / np.sqrt(v), dim * float(np.log(v)), 0.0

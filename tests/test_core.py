@@ -63,11 +63,15 @@ def test_materialize_errors():
         Explicit(np.eye(2)).materialize(3)
     with pytest.raises(NotPositiveDefiniteError):
         rca_fit(np.eye(2), Explicit(np.diag([1.0, -2.0])))
-    # specs built from scalars and factors reject a non-finite result themselves
+    # the dense Sigma a spec builds is checked once, by gen_eig_spd
     with pytest.raises(ValueError, match="finite"):
-        ScaledIdentity(np.nan).materialize(2)
+        rca_fit(np.eye(2), ScaledIdentity(np.nan))
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
-        LowRankPlusNoise(np.full((2, 1), 1e200), 1.0).materialize(2)
+        rca_fit(np.eye(2), LowRankPlusNoise(np.full((2, 1), 1e200), 1.0))
+    with pytest.raises(ValueError, match="sigma is not symmetric"):
+        rca_fit(np.eye(2), Explicit(np.array([[1.0, 0.5], [0.0, 1.0]])))
+    with pytest.raises(ValueError, match="block 1 must be square"):
+        BlockDiagonal((np.eye(1), np.ones((1, 2)))).materialize(2)
 
 
 # ---------------------------------------------------------------- rca_fit
@@ -108,6 +112,13 @@ def test_fit_reconstruction_spectrum():
     again = gen_eig_spd(fit.loadings @ fit.loadings.T + sigma, sigma)
     np.testing.assert_allclose(again.values[:fit.q], fit.eig.values[:fit.q], atol=1e-6)
     np.testing.assert_allclose(again.values[fit.q:], np.ones(6 - fit.q), atol=1e-6)
+
+
+def test_fit_accepts_nested_list_sigma():
+    # a raw symmetric array, as a nested list, is an Explicit covariance
+    fit = rca_fit([[8.0, 0.0], [0.0, 2.0]], [[2.0, 0.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(
+        fit.eig.values, rca_fit(np.diag([8.0, 2.0]), Explicit(2.0 * np.eye(2))).eig.values)
 
 
 def test_fit_rejects_indefinite_gram():

@@ -302,26 +302,24 @@ def symmetry_checks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kind,budget", [("explicit", 2), ("identity", 1),
-                                         ("lowrank", 1), ("blocks", 3)])
-def test_each_caller_matrix_is_checked_once_per_fit(symmetry_checks, kind, budget):
-    # one check for the gram plus one per matrix the spec was given
+@pytest.mark.parametrize("kind", ["explicit", "identity", "lowrank", "blocks"])
+def test_each_fit_checks_gram_and_sigma_once(symmetry_checks, kind):
+    # gen_eig_spd checks the gram and the dense Sigma; the specs check shapes
     rng = np.random.default_rng(903)
     specs = dict(dense_specs(rng), identity=ScaledIdentity(0.8))
     gram = planted_gram(rng, np.eye(P))
     symmetry_checks[0] = 0
     rca_fit(gram, specs[kind])
-    assert symmetry_checks[0] == budget
+    assert symmetry_checks[0] == 2
 
 
-def test_fit_wrappers_check_each_matrix_once(symmetry_checks):
+def test_fit_wrappers_check_gram_and_sigma_once(symmetry_checks):
     rng = np.random.default_rng(904)
     y = rng.standard_normal((60, 9))
     y1, y2, t1, t2, _ = make_diffexpr_pair(3, n_genes=40)
     pair = TimeSeriesPair(y1, y2, t1, t2)
-    for fit, budget in ((lambda: ppca_fit(y, 0.5), 1),  # the sample covariance
-                        (lambda: cca_fit(y[:, :5], y[:, 5:]), 3),  # joint, two views
-                        (lambda: residual_scores(pair, KernelSpec()), 2)):  # gram, kernel
+    for fit in (lambda: ppca_fit(y, 0.5), lambda: cca_fit(y[:, :5], y[:, 5:]),
+                lambda: residual_scores(pair, KernelSpec())):
         symmetry_checks[0] = 0
         fit()
-        assert symmetry_checks[0] == budget
+        assert symmetry_checks[0] == 2
