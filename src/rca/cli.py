@@ -159,8 +159,8 @@ def cmd_diffexpr(args):
         [f"g{j}" for j in range(y1.shape[1])]
     rank_of = np.empty(ranking.order.size, dtype=int)
     rank_of[ranking.order] = np.arange(1, ranking.order.size + 1)
-    rows = "\n".join(f"{gene_ids[j]},{ranking.scores[j]:.17g},{rank_of[j]}"
-                     for j in range(len(gene_ids)))
+    rows = "\n".join(map("%s,%.17g,%d".__mod__, zip(
+        gene_ids, ranking.scores.tolist(), rank_of.tolist())))
 
     manifest = {
         "command": "diffexpr", "y1": args.y1, "y2": args.y2,
@@ -252,14 +252,19 @@ def cmd_predict(args):
     model = load_model(args.model_dir)
     y2, _, _ = load_csv(args.y2)
     pred = predict_view1(model, y2, mode=args.mode)
-    save_csv(_path(out, "predictions.csv"), pred)
     manifest = {"command": "predict", "model_dir": args.model_dir,
                 "y2": args.y2, "mode": args.mode}
+    rms_text = None
     if args.truth:
         truth, _, _ = load_csv(args.truth)
         rms = rms_error(pred, truth)
-        atomic_write_text(_path(out, "rms.txt"), f"rms={rms:.17g}\n")
+        rms_text = f"rms={rms:.17g}\n"
         manifest["rms"] = rms
+
+    # everything computed; now emit
+    save_csv(_path(out, "predictions.csv"), pred)
+    if rms_text is not None:
+        atomic_write_text(_path(out, "rms.txt"), rms_text)
     else:
         _remove_stale(out, "rms.txt")
     write_manifest(_path(out, "manifest.txt"), manifest)

@@ -5,6 +5,8 @@ reproduces doubles exactly; every file is written to a temporary sibling
 and renamed into place, so readers never observe a half-written artifact.
 """
 
+import contextlib
+import itertools
 import os
 import tempfile
 
@@ -22,10 +24,8 @@ def load_csv(path):
     when absent. Raises ValueError on empty files, ragged rows, or any
     non-numeric data cell (reported with line and column).
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n").rstrip("\r") for line in fh]
-    rows = [line.split(",") for line in lines if line != ""]
-    if not rows:
+    lines, vectorizable = _read_lines(path)
+    if not lines:
         raise ValueError(f"{path}: empty file")
 
     def numeric(cell):
@@ -36,25 +36,70 @@ def load_csv(path):
             return False
 
     header = None
-    if not all(numeric(c) for c in rows[0]):
-        header = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
+    first = lines[0].split(",")
+    if not all(numeric(c) for c in first):
+        header = [c.strip() for c in first]
+        lines = lines[1:]
+        if not lines:
             raise ValueError(f"{path}: header but no data rows")
+        first = lines[0].split(",")
 
-    labeled = not numeric(rows[0][0])
-    if labeled and header is not None and len(header) == len(rows[0]):
+    labeled = not numeric(first[0])
+    if labeled and header is not None and len(header) == len(first):
         header = header[1:]
-    row_labels = [] if labeled else None
-    width = len(rows[0])
+    width = len(first)
+    row_labels = None
+    if labeled:
+        row_labels = [line.split(",", 1)[0].strip() for line in lines]
+    matrix = _parse_body(lines, width, labeled) if vectorizable else None
+    if matrix is None:
+        matrix = _parse_cells(path, lines, width, labeled,
+                              2 if header is not None else 1)
+    if matrix.ndim != 2 or matrix.size == 0:
+        raise ValueError(f"{path}: no numeric data")
+    return matrix, header, row_labels
+
+
+# np.loadtxt strips these around a number and float() does not
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _read_lines(path):
+    """The non-empty lines of path, and whether np.loadtxt may parse them.
+
+    Text mode has already turned \\r\\n and \\r into \\n. splitlines() would
+    also split on \\f, \\v and Unicode separators, which float() strips.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    vectorizable = not any(c in text for c in _LOADTXT_ONLY_SPACE)
+    return [line for line in text.split("\n") if line != ""], vectorizable
+
+
+def _parse_body(lines, width, labeled):
+    """The body as one np.loadtxt call, or None when only the per-cell
+    parse can decide (an error to report, or a cell only float() reads)."""
+    if any(line.count(",") != width - 1 for line in lines):
+        return None  # loadtxt ignores columns past usecols
+    try:
+        matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                            usecols=range(1, width) if labeled else None)
+    except ValueError:
+        return None
+    # one row per body line, should a numpy version skip a line as blank
+    return matrix if matrix.shape == (len(lines), width - labeled) else None
+
+
+def _parse_cells(path, lines, width, labeled, offset):
+    """The body one float() per cell, raising at the first bad line or cell
+    with its line (counted from offset) and column."""
     values = []
-    offset = 2 if header is not None else 1
-    for i, row in enumerate(rows):
+    for i, line in enumerate(lines):
+        row = line.split(",")
         if len(row) != width:
             raise ValueError(f"{path}: line {i + offset}: expected {width} "
                              f"columns, found {len(row)}")
         if labeled:
-            row_labels.append(row[0].strip())
             row = row[1:]
         parsed = []
         for j, cell in enumerate(row):
@@ -65,20 +110,19 @@ def load_csv(path):
                 raise ValueError(f"{path}: line {i + offset}, column {col}: "
                                  f"not a number: {cell.strip()!r}") from None
         values.append(parsed)
-    matrix = np.array(values, dtype=float)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise ValueError(f"{path}: no numeric data")
-    return matrix, header, row_labels
+    return np.array(values, dtype=float)
 
 
-def atomic_write_text(path, text):
-    """Write text to path via a temporary file and rename."""
+@contextlib.contextmanager
+def _atomic_file(path):
+    """A text file opened on a temporary sibling of path and renamed onto
+    path when the block exits normally; removed if it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -86,23 +130,37 @@ def atomic_write_text(path, text):
         raise
 
 
+def atomic_write_text(path, text):
+    """Write text to path via a temporary file and rename."""
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
+# cells formatted per write: bounds the text held in memory at ~1.5 MB
+_BLOCK_CELLS = 1 << 16
+
+
 def save_csv(path, matrix, header=None, row_labels=None):
     """Write a matrix (or 1-D vector, saved as one column) atomically."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
-    lines = []
-    if header is not None:
-        head = list(header)
-        if row_labels is not None:
-            head = ["id"] + head
-        lines.append(",".join(head))
-    for i in range(matrix.shape[0]):
-        cells = [FLOAT_FMT % v for v in matrix[i]]
-        if row_labels is not None:
-            cells = [str(row_labels[i])] + cells
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    n_rows, n_cols = matrix.shape
+    labeled = row_labels is not None
+    row_fmt = ",".join(["%s"] * labeled + [FLOAT_FMT] * n_cols) + "\n"
+    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    with _atomic_file(path) as fh:
+        if header is not None:
+            fh.write(",".join(["id"] * labeled + list(header)) + "\n")
+        elif n_rows == 0:
+            fh.write("\n")  # every file ends in a newline, even with no lines
+        for start in range(0, n_rows, step):
+            block = matrix[start:start + step].tolist()
+            if labeled:
+                block = [[row_labels[i], *row]
+                         for i, row in enumerate(block, start)]
+            cells = tuple(itertools.chain.from_iterable(block))
+            fh.write((row_fmt * len(block)) % cells)
 
 
 def write_manifest(path, entries):

@@ -145,3 +145,52 @@ def principal_angles_deg(a, b):
     qb, _ = np.linalg.qr(np.asarray(b, dtype=float))
     svals = np.linalg.svd(qa.T @ qb, compute_uv=False)
     return np.degrees(np.arccos(np.clip(svals, -1.0, 1.0)))
+
+
+def float_cell_csv(path):
+    """Dense CSV read one float() call per cell, with load_csv's contract:
+    (values, header, row_labels), or ValueError naming the line and column.
+
+    Lines come from text-mode iteration (\\r\\n and \\r end a line, nothing
+    else does); blank lines are skipped and count toward no line number.
+    """
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh if line != "\n"]
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+
+    def is_number(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    header = None
+    if not all(is_number(cell) for cell in rows[0]):
+        header = [cell.strip() for cell in rows.pop(0)]
+        if not rows:
+            raise ValueError(f"{path}: header but no data rows")
+    labeled = not is_number(rows[0][0])
+    width = len(rows[0])
+    if labeled and header is not None and len(header) == width:
+        header = header[1:]
+    first_line = 1 if header is None else 2
+    labels = [] if labeled else None
+    values = np.empty((len(rows), width - labeled))
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {first_line + i}: expected "
+                             f"{width} columns, found {len(row)}")
+        if labeled:
+            labels.append(row[0].strip())
+        for j in range(labeled, width):
+            try:
+                values[i, j - labeled] = float(row[j])
+            except ValueError:
+                raise ValueError(f"{path}: line {first_line + i}, column "
+                                 f"{j + 1}: not a number: "
+                                 f"{row[j].strip()!r}") from None
+    if values.size == 0:
+        raise ValueError(f"{path}: no numeric data")
+    return values, header, labels

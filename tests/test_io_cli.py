@@ -1,8 +1,11 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from oracles import float_cell_csv
 from rca.cli import main, parse_sigma_spec, parse_times
 from rca.core import BlockDiagonal, Explicit, LowRankPlusNoise, ScaledIdentity
 from rca.io import load_csv, read_manifest, save_csv, write_manifest
@@ -65,6 +68,102 @@ def test_labeled_round_trip(tmp_path):
     assert header == ["x", "y"]
     assert labels == ["g1", "g2"]
     np.testing.assert_array_equal(values, [[1.5, 2.5], [3.5, 4.5]])
+
+
+# a number as save_csv or repr writes it, or a cell float() may or may not read
+_NUMBER = st.builds(lambda x, fmt: fmt(x), st.floats(),
+                    st.sampled_from([repr, "%.17g".__mod__]))
+_ODD = st.sampled_from(["nan", "-inf", "Infinity", "1e500", "1_000", "\u0661",
+                        "", "#", "#1", '"1"', "'1'", "0x10", "1.5e", "x"])
+# "\x0b" and "\x0c" are line breaks to splitlines() only; "\x1c".."\x1f" are
+# whitespace to np.loadtxt only
+_PAD = st.sampled_from(["", "", "", "", " ", "\t", "\xa0", "\x0b", "\x0c", "\x1f"])
+_LABEL = st.sampled_from(["g1", "id", " g 2 ", "x\xa0", "1", "nan", ""])
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    labeled, odd, padded, ragged, blanks = (draw(st.booleans()) for _ in range(5))
+    core = st.one_of(_NUMBER, _ODD) if odd else _NUMBER
+    lines = []
+    if draw(st.booleans()):
+        names = ["id"] * (labeled and draw(st.booleans()))
+        lines.append(",".join(names + [f"c{j}" for j in range(width)]))
+    for _ in range(draw(st.integers(1, 5))):
+        # a row one cell short, one cell long, or with a trailing comma
+        size, tail = draw(st.sampled_from([(0, ""), (0, ""), (-1, ""), (1, ""), (0, ",")])
+                          if ragged else st.just((0, "")))
+        cells = [draw(_LABEL)] * labeled
+        for _ in range(width + size):
+            cell = draw(core)
+            if padded:
+                cell = draw(_PAD) + cell + draw(_PAD)
+            cells.append(cell)
+        lines.append(",".join(cells) + tail)
+        if blanks:
+            lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=1)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(read, path):
+    try:
+        values, header, labels = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return values.shape, values.tobytes(), header, labels
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_texts())
+@example("g1,1,2\ng2,3,4,5\n")  # np.loadtxt's usecols would drop the 5
+@example("id,a\ng1,1\ng2,2,\n")
+@example("1\n \n2\n")
+@example("\x1f1,2\n")
+@example("g1\ng2\n")
+def test_load_matches_float_per_cell_reference(tmp_path, text):
+    p = tmp_path / "m.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(load_csv, p) == _outcome(float_cell_csv, p)
+
+
+def test_save_golden_bytes(tmp_path):
+    cases = [
+        (np.array([[0.1, -0.0], [5e-324, 1e308]]), {},
+         "0.10000000000000001,-0\n4.9406564584124654e-324,1e+308\n"),
+        (np.array([np.nan, np.inf, -np.inf, 1 / 3]), {},
+         "nan\ninf\n-inf\n0.33333333333333331\n"),
+        (np.array([[1.5, 2.0], [-3.0, 0.25]]),
+         {"header": ["x", "y"], "row_labels": ["g1", 7]},
+         "id,x,y\ng1,1.5,2\n7,-3,0.25\n"),
+        (np.array([[1.0], [2.0]]), {"header": ["v"]}, "v\n1\n2\n"),
+        (np.zeros((0, 3)), {}, "\n"),
+        (np.zeros((0, 2)), {"header": ["a", "b"]}, "a,b\n"),
+    ]
+    for matrix, kwargs, expected in cases:
+        p = tmp_path / "m.csv"
+        save_csv(p, matrix, **kwargs)
+        assert p.read_bytes() == expected.encode("ascii"), (matrix, kwargs)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_stays_within_a_few_file_sizes(tmp_path):
+    matrix = np.random.default_rng(15).standard_normal((600, 600))
+    p = tmp_path / "m.csv"
+    save_csv(p, matrix)
+    size = p.stat().st_size
+    assert _peak_bytes(lambda: load_csv(p)) <= 2.5 * size
+    assert _peak_bytes(lambda: save_csv(p, matrix)) <= 3.2 * size
 
 
 def test_manifest_round_trip(tmp_path):
@@ -296,3 +395,26 @@ def test_predict_rerun_without_truth_removes_stale_rms(tmp_path):
     assert run_cli("predict", *inputs, "-o", str(pred)) == 0
     assert "rms" not in read_manifest(pred / "manifest.txt")
     assert not (pred / "rms.txt").exists()
+
+
+@pytest.mark.parametrize("truth", ["missing", "mismatched"])
+def test_failed_predict_leaves_outdir_unchanged(tmp_path, truth):
+    shr = tmp_path / "shr"
+    assert run_cli("synth-shared", "--seed", "4", "--n", "250", "-o", str(shr)) == 0
+    fit = tmp_path / "fit"
+    assert run_cli("itrca", "--y1", str(shr / "y1.csv"), "--y2", str(shr / "y2.csv"),
+                   "--alpha", "0.1", "-o", str(fit)) == 0
+    y2, _, _ = load_csv(shr / "y2.csv")
+    pred = tmp_path / "pred"
+    assert run_cli("predict", "--model-dir", str(fit), "--y2", str(shr / "y2.csv"),
+                   "--truth", str(shr / "y1.csv"), "-o", str(pred)) == 0
+    before = {f.name: f.read_bytes() for f in pred.iterdir()}
+
+    other_y2 = tmp_path / "y2_head.csv"
+    save_csv(other_y2, y2[:50])
+    bad_truth = tmp_path / "truth.csv"
+    if truth == "mismatched":
+        save_csv(bad_truth, np.zeros((50, 1)))
+    assert run_cli("predict", "--model-dir", str(fit), "--y2", str(other_y2),
+                   "--truth", str(bad_truth), "-o", str(pred)) == 1
+    assert {f.name: f.read_bytes() for f in pred.iterdir()} == before
