@@ -7,6 +7,7 @@ records wall-clock state, so identical inputs give byte-identical files.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -32,33 +33,6 @@ from .io import (
 )
 from .itrca import SharedPrivateModel, iterative_rca, predict_view1, rms_error
 from .kernels import ABSOLUTE, FRACTION, KernelSpec
-
-
-def _outdir(args):
-    out = args.outdir or os.environ.get("RCA_OUTDIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _path(out, name):
-    return os.path.join(out, name)
-
-
-def _remove_stale(out, name):
-    # a file an earlier run left under a name this run does not produce must
-    # not outlive it beside the new manifest
-    try:
-        os.remove(_path(out, name))
-    except FileNotFoundError:
-        pass
-
-
-def _save_block(out, name, block):
-    # zero-column blocks have no dense-CSV form; the manifest records the rank
-    if block.shape[1] > 0:
-        save_csv(_path(out, name), block)
-    else:
-        _remove_stale(out, name)
 
 
 def parse_sigma_spec(text):
@@ -100,56 +74,45 @@ def _kernel_spec(args):
 
 
 # ------------------------------------------------------------------ commands
+# Each returns (artifacts, manifest) and writes nothing; main hands both to
+# _commit. Artifacts map a file name to an array, an (array, header) pair or
+# a str; None or a zero-column block names a file this run does not produce.
 
 def cmd_rca(args):
-    out = _outdir(args)
     gram, _, _ = load_csv(args.gram)
     fit = rca_fit(gram, parse_sigma_spec(args.sigma), n_obs=args.n_obs)
-    save_csv(_path(out, "eigvals.csv"), fit.eig.values, header=["eigenvalue"])
-    _save_block(out, "loadings.csv", fit.loadings)
-    write_manifest(_path(out, "manifest.txt"), {
+    return {"eigvals.csv": (fit.eig.values, ["eigenvalue"]),
+            "loadings.csv": fit.loadings}, {
         "command": "rca", "gram": args.gram, "sigma": args.sigma,
         "n_obs": args.n_obs, "q": fit.q,
         "log_likelihood": fit.log_likelihood,
-    })
-    return 0
+    }
 
 
 def cmd_ppca(args):
-    out = _outdir(args)
     y, _, _ = load_csv(args.data)
     fit = ppca_fit(y, args.sigma2)
-    save_csv(_path(out, "eigvals.csv"), fit.eig.values, header=["eigenvalue"])
-    _save_block(out, "loadings.csv", fit.loadings)
-    save_csv(_path(out, "mean.csv"), fit.mean)
-    write_manifest(_path(out, "manifest.txt"), {
+    return {"eigvals.csv": (fit.eig.values, ["eigenvalue"]),
+            "loadings.csv": fit.loadings, "mean.csv": fit.mean}, {
         "command": "ppca", "data": args.data, "sigma2": args.sigma2,
         "q": fit.q, "log_likelihood": fit.log_likelihood,
-    })
-    return 0
+    }
 
 
 def cmd_cca(args):
-    out = _outdir(args)
     y1, _, _ = load_csv(args.y1)
     y2, _, _ = load_csv(args.y2)
     fit = cca_fit(y1, y2)
-    save_csv(_path(out, "correlations.csv"), fit.correlations,
-             header=["correlation"])
-    _save_block(out, "s1.csv", fit.s1)
-    _save_block(out, "s2.csv", fit.s2)
-    _save_block(out, "v1.csv", fit.v1)
-    _save_block(out, "v2.csv", fit.v2)
-    write_manifest(_path(out, "manifest.txt"), {
+    return {"correlations.csv": (fit.correlations, ["correlation"]),
+            "s1.csv": fit.s1, "s2.csv": fit.s2,
+            "v1.csv": fit.v1, "v2.csv": fit.v2}, {
         "command": "cca", "y1": args.y1, "y2": args.y2,
         "q": fit.correlations.size, "clamped": fit.clamped,
         "log_likelihood": fit.fit.log_likelihood,
-    })
-    return 0
+    }
 
 
 def cmd_diffexpr(args):
-    out = _outdir(args)
     y1, header1, _ = load_csv(args.y1)
     y2, _, _ = load_csv(args.y2)
     pair = TimeSeriesPair(y1, y2, parse_times(args.t1), parse_times(args.t2))
@@ -171,7 +134,8 @@ def cmd_diffexpr(args):
         "standardize": not args.no_standardize,
         "q_used": ranking.q_used,
     }
-    roc_text = None
+    artifacts = {"scores.csv": "gene_id,score,rank\n" + rows + "\n",
+                 "roc.csv": None}
     if args.labels:
         labels, _, _ = load_csv(args.labels)
         roc = roc_curve(ranking.scores, labels.ravel().astype(int))
@@ -179,38 +143,24 @@ def cmd_diffexpr(args):
         for thr, (fpr, tpr) in zip(roc.thresholds, roc.points):
             lines.append(f"{thr:.17g},{fpr:.17g},{tpr:.17g}")
         lines.append(f"auc,{roc.auc:.17g},")
-        roc_text = "\n".join(lines) + "\n"
+        artifacts["roc.csv"] = "\n".join(lines) + "\n"
         manifest["auc"] = roc.auc
-
-    # everything computed; now emit
-    atomic_write_text(_path(out, "scores.csv"),
-                      "gene_id,score,rank\n" + rows + "\n")
-    if roc_text is not None:
-        atomic_write_text(_path(out, "roc.csv"), roc_text)
-    else:
-        _remove_stale(out, "roc.csv")
-    write_manifest(_path(out, "manifest.txt"), manifest)
-    return 0
+    return artifacts, manifest
 
 
 def cmd_itrca(args):
-    out = _outdir(args)
     y1, _, _ = load_csv(args.y1)
     y2, _, _ = load_csv(args.y2)
     model = iterative_rca(y1, y2, alpha=args.alpha, tol=args.tol,
                           max_iter=args.max_iter)
-    for name, block in (("w1.csv", model.w1), ("w2.csv", model.w2),
-                        ("v1.csv", model.v1), ("v2.csv", model.v2)):
-        _save_block(out, name, block)
-    save_csv(_path(out, "mu1.csv"), model.mu1)
-    save_csv(_path(out, "mu2.csv"), model.mu2)
-    lines = ["iteration,log_likelihood,q1,q2,q_shared"]
-    for i, (ll, (qs, q1, q2)) in enumerate(zip(model.history,
-                                               model.rank_history), start=1):
-        lines.append(f"{i},{ll:.17g},{q1},{q2},{qs}")
-    atomic_write_text(_path(out, "iterations.csv"), "\n".join(lines) + "\n")
+    iterations = [(i, ll, q1, q2, qs) for i, (ll, (qs, q1, q2)) in
+                  enumerate(zip(model.history, model.rank_history), start=1)]
     qs, q1, q2 = model.ranks
-    write_manifest(_path(out, "manifest.txt"), {
+    return {"w1.csv": model.w1, "w2.csv": model.w2,
+            "v1.csv": model.v1, "v2.csv": model.v2,
+            "mu1.csv": model.mu1, "mu2.csv": model.mu2,
+            "iterations.csv": (np.array(iterations), ["iteration", "log_likelihood",
+                                                      "q1", "q2", "q_shared"])}, {
         "command": "itrca", "y1": args.y1, "y2": args.y2,
         "alpha": model.alpha, "sigma1_sq": model.sigma1_sq,
         "sigma2_sq": model.sigma2_sq,
@@ -218,13 +168,15 @@ def cmd_itrca(args):
         "q1": q1, "q2": q2, "q_shared": qs,
         "converged": model.converged, "n_iter": model.n_iter,
         "log_likelihood": float(model.history[-1]),
-    })
-    return 0
+    }
 
 
 def load_model(model_dir):
     """Rebuild a fitted shared/private model from an itrca output directory."""
     manifest = read_manifest(os.path.join(model_dir, "manifest.txt"))
+    if manifest.get("command") != "itrca":
+        raise ValueError(f"{model_dir} is not an itrca output directory "
+                         f"(its manifest names command {manifest.get('command')!r})")
     d1 = int(manifest["d1"])
     d2 = int(manifest["d2"])
 
@@ -248,63 +200,65 @@ def load_model(model_dir):
 
 
 def cmd_predict(args):
-    out = _outdir(args)
     model = load_model(args.model_dir)
     y2, _, _ = load_csv(args.y2)
     pred = predict_view1(model, y2, mode=args.mode)
     manifest = {"command": "predict", "model_dir": args.model_dir,
                 "y2": args.y2, "mode": args.mode}
-    rms_text = None
+    artifacts = {"predictions.csv": pred, "rms.txt": None}
     if args.truth:
         truth, _, _ = load_csv(args.truth)
         rms = rms_error(pred, truth)
-        rms_text = f"rms={rms:.17g}\n"
+        artifacts["rms.txt"] = f"rms={rms:.17g}\n"
         manifest["rms"] = rms
-
-    # everything computed; now emit
-    save_csv(_path(out, "predictions.csv"), pred)
-    if rms_text is not None:
-        atomic_write_text(_path(out, "rms.txt"), rms_text)
-    else:
-        _remove_stale(out, "rms.txt")
-    write_manifest(_path(out, "manifest.txt"), manifest)
-    return 0
+    return artifacts, manifest
 
 
 def cmd_synth_diffexpr(args):
-    out = _outdir(args)
     y1, y2, t1, t2, labels = synth.make_diffexpr_pair(
         args.seed, n_genes=args.genes, n_planted=args.planted,
         noise_sd=args.noise_sd)
-    save_csv(_path(out, "y1.csv"), y1)
-    save_csv(_path(out, "y2.csv"), y2)
-    save_csv(_path(out, "t1.csv"), t1)
-    save_csv(_path(out, "t2.csv"), t2)
-    save_csv(_path(out, "labels.csv"), labels.astype(float))
-    write_manifest(_path(out, "manifest.txt"), {
+    return {"y1.csv": y1, "y2.csv": y2, "t1.csv": t1, "t2.csv": t2,
+            "labels.csv": labels.astype(float)}, {
         "command": "synth-diffexpr", "seed": args.seed, "genes": args.genes,
         "planted": args.planted, "noise_sd": args.noise_sd,
-    })
-    return 0
+    }
 
 
 def cmd_synth_shared(args):
-    out = _outdir(args)
     y1, y2, truth = synth.make_shared_private(
         args.seed, n=args.n, d1=args.d1, d2=args.d2,
         q_shared=args.q_shared, q1=args.q1, q2=args.q2,
         noise_sd=args.noise_sd)
-    save_csv(_path(out, "y1.csv"), y1)
-    save_csv(_path(out, "y2.csv"), y2)
+    artifacts = {"y1.csv": y1, "y2.csv": y2}
     for key in ("v1", "v2", "w1", "w2"):
-        save_csv(_path(out, f"{key}_true.csv"), truth[key])
-    write_manifest(_path(out, "manifest.txt"), {
+        artifacts[f"{key}_true.csv"] = truth[key]
+    return artifacts, {
         "command": "synth-shared", "seed": args.seed, "n": args.n,
         "d1": args.d1, "d2": args.d2, "q_shared": args.q_shared,
         "q1": args.q1, "q2": args.q2, "noise_sd": args.noise_sd,
         "sigma1_sq_true": truth["sigma1_sq"],
-    })
-    return 0
+    }
+
+
+def _commit(args, artifacts, manifest):
+    """Write a command's artifacts into the output directory (-o, else
+    $RCA_OUTDIR, else ., created if missing), then manifest.txt last. A
+    file an earlier run left under a name this run does not produce is
+    removed, so it cannot outlive that run beside the new manifest."""
+    out = args.outdir or os.environ.get("RCA_OUTDIR") or "."
+    os.makedirs(out, exist_ok=True)
+    for name, value in artifacts.items():
+        path = os.path.join(out, name)
+        value, header = value if isinstance(value, tuple) else (value, None)
+        if isinstance(value, str):
+            atomic_write_text(path, value)
+        elif value is not None and (value.ndim < 2 or value.shape[1] > 0):
+            save_csv(path, value, header=header)
+        else:  # no dense-CSV form for a zero-column block; q is in the manifest
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+    write_manifest(os.path.join(out, "manifest.txt"), manifest)
 
 
 # ------------------------------------------------------------------ wiring
@@ -401,7 +355,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _commit(args, *args.func(args))
+        return 0
     except Exception as exc:  # single-line machine-parsable failure
         message = " ".join(str(exc).split())
         print(f"error: {args.command}: {type(exc).__name__}: {message}",

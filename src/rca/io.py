@@ -24,7 +24,7 @@ def load_csv(path):
     when absent. Raises ValueError on empty files, ragged rows, or any
     non-numeric data cell (reported with line and column).
     """
-    lines, vectorizable = _read_lines(path)
+    lines, numbers, vectorizable = _read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty file")
 
@@ -39,7 +39,7 @@ def load_csv(path):
     first = lines[0].split(",")
     if not all(numeric(c) for c in first):
         header = [c.strip() for c in first]
-        lines = lines[1:]
+        lines, numbers = lines[1:], numbers[1:]
         if not lines:
             raise ValueError(f"{path}: header but no data rows")
         first = lines[0].split(",")
@@ -53,8 +53,7 @@ def load_csv(path):
         row_labels = [line.split(",", 1)[0].strip() for line in lines]
     matrix = _parse_body(lines, width, labeled) if vectorizable else None
     if matrix is None:
-        matrix = _parse_cells(path, lines, width, labeled,
-                              2 if header is not None else 1)
+        matrix = _parse_cells(path, lines, numbers, width, labeled)
     if matrix.ndim != 2 or matrix.size == 0:
         raise ValueError(f"{path}: no numeric data")
     return matrix, header, row_labels
@@ -65,7 +64,8 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def _read_lines(path):
-    """The non-empty lines of path, and whether np.loadtxt may parse them.
+    """The non-empty lines of path, their physical line numbers, and whether
+    np.loadtxt may parse them.
 
     Text mode has already turned \\r\\n and \\r into \\n. splitlines() would
     also split on \\f, \\v and Unicode separators, which float() strips.
@@ -73,7 +73,9 @@ def _read_lines(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     vectorizable = not any(c in text for c in _LOADTXT_ONLY_SPACE)
-    return [line for line in text.split("\n") if line != ""], vectorizable
+    lines = text.split("\n")
+    numbers = [i for i, line in enumerate(lines, 1) if line != ""]
+    return [lines[i - 1] for i in numbers], numbers, vectorizable
 
 
 def _parse_body(lines, width, labeled):
@@ -90,14 +92,14 @@ def _parse_body(lines, width, labeled):
     return matrix if matrix.shape == (len(lines), width - labeled) else None
 
 
-def _parse_cells(path, lines, width, labeled, offset):
+def _parse_cells(path, lines, numbers, width, labeled):
     """The body one float() per cell, raising at the first bad line or cell
-    with its line (counted from offset) and column."""
+    with its physical line number and column."""
     values = []
-    for i, line in enumerate(lines):
+    for number, line in zip(numbers, lines):
         row = line.split(",")
         if len(row) != width:
-            raise ValueError(f"{path}: line {i + offset}: expected {width} "
+            raise ValueError(f"{path}: line {number}: expected {width} "
                              f"columns, found {len(row)}")
         if labeled:
             row = row[1:]
@@ -107,7 +109,7 @@ def _parse_cells(path, lines, width, labeled, offset):
                 parsed.append(float(cell))
             except ValueError:
                 col = j + (2 if labeled else 1)
-                raise ValueError(f"{path}: line {i + offset}, column {col}: "
+                raise ValueError(f"{path}: line {number}, column {col}: "
                                  f"not a number: {cell.strip()!r}") from None
         values.append(parsed)
     return np.array(values, dtype=float)
@@ -119,9 +121,14 @@ def _atomic_file(path):
     path when the block exits normally; removed if it raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
+    # mkstemp creates 0600; give the mode open(path, "w") would. os.umask is
+    # the only way to read the mask, so a strict one is set meanwhile.
+    umask = os.umask(0o077)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -91,6 +91,8 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
         tol = 1e-6 * n * (d1 + d2)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if rank_margin is None:
         rank_margin = 3.0 / np.sqrt(n)
 
@@ -106,7 +108,6 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     history = []
     rank_history = []
     converged = False
-    iteration = 0
     for iteration in range(1, max_iter + 1):
         at = f"iteration {iteration}, "
         w1 = _solve(c11, v1 @ v1.T + sigma1_sq * np.eye(d1), rank_margin,

@@ -152,10 +152,14 @@ def float_cell_csv(path):
     (values, header, row_labels), or ValueError naming the line and column.
 
     Lines come from text-mode iteration (\\r\\n and \\r end a line, nothing
-    else does); blank lines are skipped and count toward no line number.
+    else does); blank lines are skipped but still count toward the physical
+    line numbers that errors report.
     """
     with open(path, encoding="utf-8") as fh:
-        rows = [line.rstrip("\n").split(",") for line in fh if line != "\n"]
+        numbered = [(number, line.rstrip("\n").split(","))
+                    for number, line in enumerate(fh, 1) if line != "\n"]
+    numbers = [number for number, _ in numbered]
+    rows = [row for _, row in numbered]
     if not rows:
         raise ValueError(f"{path}: empty file")
 
@@ -169,18 +173,18 @@ def float_cell_csv(path):
     header = None
     if not all(is_number(cell) for cell in rows[0]):
         header = [cell.strip() for cell in rows.pop(0)]
+        numbers.pop(0)
         if not rows:
             raise ValueError(f"{path}: header but no data rows")
     labeled = not is_number(rows[0][0])
     width = len(rows[0])
     if labeled and header is not None and len(header) == width:
         header = header[1:]
-    first_line = 1 if header is None else 2
     labels = [] if labeled else None
     values = np.empty((len(rows), width - labeled))
-    for i, row in enumerate(rows):
+    for i, (number, row) in enumerate(zip(numbers, rows)):
         if len(row) != width:
-            raise ValueError(f"{path}: line {first_line + i}: expected "
+            raise ValueError(f"{path}: line {number}: expected "
                              f"{width} columns, found {len(row)}")
         if labeled:
             labels.append(row[0].strip())
@@ -188,7 +192,7 @@ def float_cell_csv(path):
             try:
                 values[i, j - labeled] = float(row[j])
             except ValueError:
-                raise ValueError(f"{path}: line {first_line + i}, column "
+                raise ValueError(f"{path}: line {number}, column "
                                  f"{j + 1}: not a number: "
                                  f"{row[j].strip()!r}") from None
     if values.size == 0:

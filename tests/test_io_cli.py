@@ -1,3 +1,4 @@
+import argparse
 import os
 import tracemalloc
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from oracles import float_cell_csv
-from rca.cli import main, parse_sigma_spec, parse_times
+from rca.cli import build_parser, main, parse_sigma_spec, parse_times
 from rca.core import BlockDiagonal, Explicit, LowRankPlusNoise, ScaledIdentity
-from rca.io import load_csv, read_manifest, save_csv, write_manifest
+from rca.io import atomic_write_text, load_csv, read_manifest, save_csv, write_manifest
 
 
 # ---------------------------------------------------------------- load_csv
@@ -44,6 +45,17 @@ def test_load_errors(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError, match="empty"):
         load_csv(empty)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,2\n\n3,x\n", "line 3, column 2: not a number: 'x'"),
+    ("a,b\n\n\n1,2\n3\n", "line 5: expected 2 columns, found 1"),
+])
+def test_load_errors_report_physical_line_numbers(tmp_path, text, message):
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_csv(p)
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -166,6 +178,18 @@ def test_csv_memory_stays_within_a_few_file_sizes(tmp_path):
     assert _peak_bytes(lambda: save_csv(p, matrix)) <= 3.2 * size
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    saved = os.umask(umask)
+    try:
+        save_csv(tmp_path / "m.csv", np.eye(2))
+        atomic_write_text(tmp_path / "t.txt", "x\n")
+    finally:
+        os.umask(saved)
+    assert (tmp_path / "m.csv").stat().st_mode & 0o777 == mode
+    assert (tmp_path / "t.txt").stat().st_mode & 0o777 == mode
+
+
 def test_manifest_round_trip(tmp_path):
     p = tmp_path / "manifest.txt"
     write_manifest(p, {"alpha": 0.1, "q": 3, "command": "itrca"})
@@ -229,7 +253,7 @@ def test_cli_failure_is_single_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: rca:")
-    assert not (out / "eigvals.csv").exists()
+    assert not out.exists()
 
 
 def test_failed_diffexpr_leaves_no_artifacts(tmp_path):
@@ -418,3 +442,125 @@ def test_failed_predict_leaves_outdir_unchanged(tmp_path, truth):
     assert run_cli("predict", "--model-dir", str(fit), "--y2", str(other_y2),
                    "--truth", str(bad_truth), "-o", str(pred)) == 1
     assert {f.name: f.read_bytes() for f in pred.iterdir()} == before
+
+
+def test_itrca_with_no_iterations_fails_without_outdir(tmp_path, capsys):
+    shr = tmp_path / "shr"
+    assert run_cli("synth-shared", "--seed", "4", "--n", "250", "-o", str(shr)) == 0
+    out = tmp_path / "out"
+    assert run_cli("itrca", "--y1", str(shr / "y1.csv"), "--y2", str(shr / "y2.csv"),
+                   "--alpha", "0.1", "--max-iter", "0", "-o", str(out)) == 1
+    assert "ValueError: max_iter must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_rejects_a_model_dir_from_another_command(tmp_path, capsys):
+    gram = tmp_path / "g.csv"
+    save_csv(gram, 2 * np.eye(3))
+    model = tmp_path / "model"
+    assert run_cli("rca", "--gram", str(gram), "--sigma", "identity:1.0",
+                   "-o", str(model)) == 0
+    y2 = tmp_path / "y2.csv"
+    save_csv(y2, np.ones((4, 2)))
+    assert run_cli("predict", "--model-dir", str(model), "--y2", str(y2),
+                   "-o", str(tmp_path / "pred")) == 1
+    err = capsys.readouterr().err
+    assert f"ValueError: {model} is not an itrca output directory" in err
+    assert "'rca'" in err
+
+
+# ---------------------------------------------------------------- artifact sets
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Input files for every subcommand, plus an itrca model for predict."""
+    root = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal((4, 2)) * 3.0
+    save_csv(root / "planted.csv", np.eye(4) + w @ w.T)
+    save_csv(root / "flat.csv", np.eye(4))
+    # cross-covariance exactly 0: no canonical correlations
+    save_csv(root / "ortho1.csv", np.array([[1.0], [-1.0], [1.0], [-1.0]]))
+    save_csv(root / "ortho2.csv",
+             np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]))
+    # orthogonal views with no residual structure: an all-empty itrca model
+    basis, _ = np.linalg.qr(np.random.default_rng(9).standard_normal((100, 9)))
+    save_csv(root / "e1.csv", basis[:, :5] * 10.0)
+    save_csv(root / "e2.csv", basis[:, 5:] * 10.0)
+    assert run_cli("synth-diffexpr", "--seed", "2", "--genes", "40", "--planted", "4",
+                   "-o", str(root / "syn")) == 0
+    assert run_cli("synth-shared", "--seed", "4", "--n", "250",
+                   "-o", str(root / "shr")) == 0
+    assert run_cli(*COMMANDS["itrca"].format(root).split(),
+                   "-o", str(root / "fit")) == 0
+    return root
+
+
+COMMANDS = {
+    "rca": "rca --gram {0}/planted.csv --sigma identity:1.0",
+    "rca-q0": "rca --gram {0}/flat.csv --sigma identity:1.0",
+    "ppca": "ppca --data {0}/shr/y1.csv --sigma2 0.01",
+    "ppca-q0": "ppca --data {0}/shr/y1.csv --sigma2 1000",
+    "cca": "cca --y1 {0}/shr/y1.csv --y2 {0}/shr/y2.csv",
+    "cca-q0": "cca --y1 {0}/ortho1.csv --y2 {0}/ortho2.csv",
+    "diffexpr": "diffexpr --y1 {0}/syn/y1.csv --y2 {0}/syn/y2.csv --t1 {0}/syn/t1.csv "
+                "--t2 {0}/syn/t2.csv --labels {0}/syn/labels.csv",
+    "diffexpr-no-labels": "diffexpr --y1 {0}/syn/y1.csv --y2 {0}/syn/y2.csv "
+                          "--t1 {0}/syn/t1.csv --t2 {0}/syn/t2.csv",
+    "itrca": "itrca --y1 {0}/shr/y1.csv --y2 {0}/shr/y2.csv --alpha 0.1",
+    "itrca-q0": "itrca --y1 {0}/e1.csv --y2 {0}/e2.csv --alpha 0.9",
+    "predict": "predict --model-dir {0}/fit --y2 {0}/shr/y2.csv --truth {0}/shr/y1.csv",
+    "predict-no-truth": "predict --model-dir {0}/fit --y2 {0}/shr/y2.csv",
+    "synth-diffexpr": "synth-diffexpr --seed 3 --genes 20 --planted 2",
+    "synth-shared": "synth-shared --seed 5 --n 60",
+}
+
+LOADINGS = {"eigvals.csv", "loadings.csv", "manifest.txt"}
+DIRECTIONS = {"correlations.csv", "s1.csv", "s2.csv", "v1.csv", "v2.csv", "manifest.txt"}
+MODEL = {"w1.csv", "w2.csv", "v1.csv", "v2.csv", "mu1.csv", "mu2.csv",
+         "iterations.csv", "manifest.txt"}
+
+
+# each run goes into the outdir the runs before it used
+ARTIFACT_SETS = [
+    (["rca"], LOADINGS),
+    (["rca", "rca-q0"], LOADINGS - {"loadings.csv"}),
+    (["ppca"], LOADINGS | {"mean.csv"}),
+    (["ppca", "ppca-q0"], LOADINGS - {"loadings.csv"} | {"mean.csv"}),
+    (["cca"], DIRECTIONS),
+    (["cca", "cca-q0"], {"correlations.csv", "manifest.txt"}),
+    (["diffexpr"], {"scores.csv", "roc.csv", "manifest.txt"}),
+    (["diffexpr", "diffexpr-no-labels"], {"scores.csv", "manifest.txt"}),
+    (["itrca"], MODEL),
+    (["itrca", "itrca-q0"], MODEL - {"w1.csv", "w2.csv", "v1.csv", "v2.csv"}),
+    (["predict"], {"predictions.csv", "rms.txt", "manifest.txt"}),
+    (["predict", "predict-no-truth"], {"predictions.csv", "manifest.txt"}),
+    (["synth-diffexpr"], {"y1.csv", "y2.csv", "t1.csv", "t2.csv", "labels.csv",
+                          "manifest.txt"}),
+    (["synth-shared"], {"y1.csv", "y2.csv", "v1_true.csv", "v2_true.csv",
+                        "w1_true.csv", "w2_true.csv", "manifest.txt"}),
+]
+
+
+@pytest.mark.parametrize("runs, files", ARTIFACT_SETS,
+                         ids=["+".join(runs) for runs, _ in ARTIFACT_SETS])
+def test_outdir_holds_exactly_the_last_runs_artifacts(inputs, tmp_path, runs, files):
+    out = tmp_path / "out"
+    for run in runs:
+        assert run_cli(*COMMANDS[run].format(inputs).split(), "-o", str(out)) == 0
+    assert {f.name for f in out.iterdir()} == files
+    assert read_manifest(out / "manifest.txt")["command"] == runs[0]
+
+
+def test_commands_compute_without_writing(inputs, tmp_path):
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) <= set(COMMANDS)
+    out = tmp_path / "never"
+    for name in commands:
+        args = parser.parse_args(COMMANDS[name].format(inputs).split() + ["-o", str(out)])
+        artifacts, manifest = args.func(args)
+        assert isinstance(artifacts, dict) and isinstance(manifest, dict)
+        assert manifest["command"] == name
+        assert not out.exists()

@@ -96,6 +96,8 @@ def test_input_validation():
         iterative_rca(y1, y2, alpha=1.5)
     with pytest.raises(ValueError, match="mismatch"):
         iterative_rca(y1[:40], y2, alpha=0.2)
+    with pytest.raises(ValueError, match="max_iter"):
+        iterative_rca(y1, y2, alpha=0.2, max_iter=0)
 
 
 # ---------------------------------------------------------------- likelihood
