@@ -138,7 +138,7 @@ def cmd_diffexpr(args):
                  "roc.csv": None}
     if args.labels:
         labels, _, _ = load_csv(args.labels)
-        roc = roc_curve(ranking.scores, labels.ravel().astype(int))
+        roc = roc_curve(ranking.scores, labels.ravel())
         lines = ["threshold,fpr,tpr"]
         for thr, (fpr, tpr) in zip(roc.thresholds, roc.points):
             lines.append(f"{thr:.17g},{fpr:.17g},{tpr:.17g}")
@@ -245,10 +245,12 @@ def _commit(args, artifacts, manifest):
     """Write a command's artifacts into the output directory (-o, else
     $RCA_OUTDIR, else ., created if missing), then manifest.txt last. A
     file an earlier run left under a name this run does not produce is
-    removed, so it cannot outlive that run beside the new manifest."""
+    removed, so it cannot outlive that run beside the new manifest. The old
+    manifest is removed first, so a directory that has a manifest holds one
+    whole run even when a commit fails midway."""
     out = args.outdir or os.environ.get("RCA_OUTDIR") or "."
     os.makedirs(out, exist_ok=True)
-    for name, value in artifacts.items():
+    for name, value in {"manifest.txt": None, **artifacts}.items():
         path = os.path.join(out, name)
         value, header = value if isinstance(value, tuple) else (value, None)
         if isinstance(value, str):

@@ -55,17 +55,19 @@ class Explicit:
 
 @dataclass(frozen=True)
 class LowRankPlusNoise:
-    """F F' + variance * I."""
+    """F F' + diag(variance). F may have zero columns; variance is one noise
+    level for every row or a vector of one per row."""
     factors: np.ndarray
-    variance: float
+    variance: float | np.ndarray
 
     def materialize(self, dim):
-        f = as_matrix(self.factors, "factors")
-        if f.shape[0] != dim:
-            raise ValueError(f"factors have {f.shape[0]} rows, expected {dim}")
-        if self.variance < 0:
-            raise ValueError(f"noise variance must be nonnegative, got {self.variance}")
-        return f @ f.T + self.variance * np.eye(dim)
+        f, v = np.asarray(self.factors, dtype=float), np.asarray(self.variance, dtype=float)
+        if f.ndim != 2 or f.shape[0] != dim or v.shape not in ((), (dim,)):
+            raise ValueError(f"factors have shape {f.shape} and variance {v.shape}, "
+                             f"expected {dim} rows each")
+        if (v < 0).any():
+            raise ValueError(f"noise variance must be nonnegative, got {v.min()}")
+        return f @ f.T + (np.diag(v) if v.ndim else self.variance * np.eye(dim))
 
 
 @dataclass(frozen=True)
@@ -80,17 +82,17 @@ class BlockDiagonal:
         total = sum(b.shape[0] for b in blocks)
         if total != dim:
             raise ValueError(f"blocks sum to dimension {total}, expected {dim}")
-        out = np.zeros((dim, dim))
-        at = 0
-        for b in blocks:
-            k = b.shape[0]
-            out[at:at + k, at:at + k] = b
-            at += k
-        return out
+        return _block_diag(blocks)
 
 
-def _dense(spec, dim):
-    return (spec if hasattr(spec, "materialize") else Explicit(spec)).materialize(dim)
+def _block_diag(blocks):
+    """The 2-D blocks placed corner to corner down the diagonal of zeros."""
+    out = np.zeros(np.sum([b.shape for b in blocks], axis=0, dtype=int))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 # ------------------------------------------------------------------ fits
@@ -121,17 +123,20 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
         explained part; must be positive definite after the jitter policy.
     n_obs : number of i.i.d. vectors the Gram averages; only scales the
         reported log-likelihood.
-    rank_tol : eigenvalues in (1, 1 + rank_tol] count as noise. The strict
-        default suits exactly-built Grams; callers fitting sample
-        covariances should allow for sampling fluctuation around 1.
+    rank_tol : finite and nonnegative; eigenvalues in (1, 1 + rank_tol]
+        count as noise. The strict default suits exactly-built Grams;
+        callers fitting sample covariances should allow for sampling
+        fluctuation around 1.
 
     Returns
     -------
     RcaFit. Eigenvalues at or below 1 contribute nothing to the loadings.
     """
+    if not 0.0 <= rank_tol < np.inf:
+        raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
     gram = np.asarray(gram, dtype=float)
     p = gram.shape[0] if gram.ndim else 0  # gen_eig_spd checks both matrices
-    sig = _dense(sigma, p)
+    sig = (sigma if hasattr(sigma, "materialize") else Explicit(sigma)).materialize(p)
     eig = gen_eig_spd(gram, sig)
     d = eig.values
     # Sylvester's inertia: d_min < 0 gives lambda_min(G) >= d_min trace(Sigma),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Explicit, covariance_log_likelihood, rca_fit
+from .core import LowRankPlusNoise, _block_diag, covariance_log_likelihood, rca_fit
 from .linalg import as_matrix
 
 
@@ -21,8 +21,9 @@ class SharedPrivateModel:
     """Fitted loadings of the shared/private model.
 
     w1/w2 are private loadings, v1/v2 the shared block split by view;
-    history holds the joint log-marginal likelihood after each pass and
-    rank_history the (q_shared, q1, q2) selected on that pass.
+    history holds the joint log-marginal likelihood after each pass (the
+    shared solve's closed form) and rank_history the (q_shared, q1, q2)
+    selected on that pass.
     """
     w1: np.ndarray
     w2: np.ndarray
@@ -46,17 +47,15 @@ class SharedPrivateModel:
     def joint_covariance(self):
         """Implied covariance of the concatenated, centered views."""
         v = np.vstack([self.v1, self.v2])
-        return _private_covariance(self.w1, self.w2, self.sigma1_sq,
-                                   self.sigma2_sq) + v @ v.T
+        return _views_spec(self.w1, self.w2, self.sigma1_sq, self.sigma2_sq,
+                           v).materialize(v.shape[0])
 
 
-def _private_covariance(w1, w2, sigma1_sq, sigma2_sq):
-    """blockdiag(W1 W1' + sigma1^2 I, W2 W2' + sigma2^2 I)."""
-    d1, d2 = w1.shape[0], w2.shape[0]
-    cov = np.zeros((d1 + d2, d1 + d2))
-    cov[:d1, :d1] = w1 @ w1.T + sigma1_sq * np.eye(d1)
-    cov[d1:, d1:] = w2 @ w2.T + sigma2_sq * np.eye(d2)
-    return cov
+def _views_spec(w1, w2, sigma1_sq, sigma2_sq, *shared):
+    """blockdiag(W1 W1' + sigma1^2 I, W2 W2' + sigma2^2 I), plus V V' for
+    each shared block V given, as one LowRankPlusNoise."""
+    return LowRankPlusNoise(np.hstack([_block_diag([w1, w2]), *shared]),
+                            np.repeat([sigma1_sq, sigma2_sq], [len(w1), len(w2)]))
 
 
 def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
@@ -68,7 +67,11 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     standard recovery Sigma S_q (Lambda_q - I)^{1/2}. Iteration stops when
     the joint log-marginal likelihood moves by at most tol (default
     1e-6 * n * (d1 + d2), the likelihood being extensive) or after max_iter
-    passes, in which case converged is False.
+    passes, in which case converged is False. Each pass's likelihood is the
+    shared solve's closed form: that of the sample covariance under
+    K = Sigma_shared + V V', read off the generalized spectrum. It equals
+    joint_log_marginal unless the jitter policy fires on Sigma_shared, which
+    needs the two views' scales about 1e12 apart; K then carries the jitter.
 
     alpha in (0, 1) fixes the noise floors: sigma_i^2 = (alpha / d_i)
     trace(C_ii).
@@ -95,6 +98,8 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if rank_margin is None:
         rank_margin = 3.0 / np.sqrt(n)
+    if not 0.0 <= rank_margin < np.inf:
+        raise ValueError(f"rank_margin must be finite and nonnegative, got {rank_margin}")
 
     mu1, mu2 = y1.mean(axis=0), y2.mean(axis=0)
     joint = np.hstack([y1 - mu1, y2 - mu2])
@@ -103,24 +108,22 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     sigma1_sq = alpha * np.trace(c11) / d1
     sigma2_sq = alpha * np.trace(c22) / d2
 
-    w1 = v1 = np.zeros((d1, 0))
-    w2 = v2 = np.zeros((d2, 0))
-    history = []
-    rank_history = []
-    converged = False
-    for iteration in range(1, max_iter + 1):
-        at = f"iteration {iteration}, "
-        w1 = _solve(c11, v1 @ v1.T + sigma1_sq * np.eye(d1), rank_margin,
-                    at + "private block view 1")
-        w2 = _solve(c22, v2 @ v2.T + sigma2_sq * np.eye(d2), rank_margin,
-                    at + "private block view 2")
-        private = _private_covariance(w1, w2, sigma1_sq, sigma2_sq)
-        v = _solve(c, private, rank_margin, at + "shared block")
-        v1, v2 = v[:d1], v[d1:]
+    def solve(cov, sigma, block):
+        """rca_fit of cov against the spec sigma; failures name the solve."""
+        try:
+            return rca_fit(cov, sigma, n_obs=n, rank_tol=rank_margin)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"iteration {iteration}, {block}: {exc}") from exc
 
-        # the joint likelihood from the sample covariance: no pass over rows
-        history.append(covariance_log_likelihood(private + v @ v.T, c, n))
-        rank_history.append((v.shape[1], w1.shape[1], w2.shape[1]))
+    v1, v2 = np.zeros((d1, 0)), np.zeros((d2, 0))
+    history, rank_history, converged = [], [], False
+    for iteration in range(1, max_iter + 1):
+        w1 = solve(c11, LowRankPlusNoise(v1, sigma1_sq), "private block view 1").loadings
+        w2 = solve(c22, LowRankPlusNoise(v2, sigma2_sq), "private block view 2").loadings
+        shared = solve(c, _views_spec(w1, w2, sigma1_sq, sigma2_sq), "shared block")
+        v1, v2 = shared.loadings[:d1], shared.loadings[d1:]
+        history.append(shared.log_likelihood)
+        rank_history.append((shared.q, w1.shape[1], w2.shape[1]))
         if len(history) >= 2 and abs(history[-1] - history[-2]) <= tol:
             converged = True
             break
@@ -130,14 +133,6 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
                               mu1=mu1, mu2=mu2, alpha=alpha,
                               history=np.array(history), converged=converged,
                               n_iter=iteration, rank_history=tuple(rank_history))
-
-
-def _solve(cov, sigma, rank_margin, where):
-    """Residual loadings of cov against sigma; failures name the solve."""
-    try:
-        return rca_fit(cov, Explicit(sigma), rank_tol=rank_margin).loadings
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"{where}: {exc}") from exc
 
 
 def joint_log_marginal(model, y1, y2):
@@ -165,12 +160,10 @@ def predict_view1(model, y2, mode="paper"):
     if not np.isfinite(rows).all():
         raise ValueError("y2 contains non-finite entries")
 
-    d2 = model.mu2.size
-    c22 = model.w2 @ model.w2.T + model.sigma2_sq * np.eye(d2)
-    if mode == "exact":
-        c22 = c22 + model.v2 @ model.v2.T
-    elif mode != "paper":
+    if mode not in ("paper", "exact"):
         raise ValueError(f"unknown prediction mode: {mode!r}")
+    factors = np.hstack([model.w2, model.v2]) if mode == "exact" else model.w2
+    c22 = LowRankPlusNoise(factors, model.sigma2_sq).materialize(model.mu2.size)
     cross = model.v1 @ model.v2.T
     pred = (rows - model.mu2) @ np.linalg.solve(c22, cross.T) + model.mu1
     return pred[0] if single else pred

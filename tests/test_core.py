@@ -70,6 +70,10 @@ def test_materialize_errors():
         rca_fit(np.eye(2), LowRankPlusNoise(np.full((2, 1), 1e200), 1.0))
     with pytest.raises(ValueError, match="sigma is not symmetric"):
         rca_fit(np.eye(2), Explicit(np.array([[1.0, 0.5], [0.0, 1.0]])))
+    with pytest.raises(ValueError, match="expected 3 rows"):
+        LowRankPlusNoise(np.ones((3, 1)), np.ones(2)).materialize(3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        LowRankPlusNoise(np.zeros((2, 0)), np.array([1.0, -1.0])).materialize(2)
     with pytest.raises(ValueError, match="block 1 must be square"):
         BlockDiagonal((np.eye(1), np.ones((1, 2)))).materialize(2)
 
@@ -124,6 +128,14 @@ def test_fit_accepts_nested_list_sigma():
 def test_fit_rejects_indefinite_gram():
     with pytest.raises(ValueError, match="semidefinite"):
         rca_fit(np.diag([1.0, -5.0]), ScaledIdentity(1.0))
+
+
+@pytest.mark.parametrize("rank_tol", [-0.5, np.nan, np.inf])
+def test_fit_rejects_bad_rank_tol(rank_tol):
+    # a negative tolerance would keep eigenvalues below 1 and take the
+    # square root of a negative number for their loadings
+    with pytest.raises(ValueError, match="rank_tol"):
+        rca_fit(np.diag([3.0, 0.8, 0.6]), ScaledIdentity(1.0), rank_tol=rank_tol)
 
 
 # ---------------------------------------------------------------- log_marginal

@@ -290,6 +290,26 @@ def test_diffexpr_and_roc_outputs(tmp_path):
     assert "auc" in read_manifest(out / "manifest.txt")
 
 
+def test_diffexpr_rejects_non_binary_labels(tmp_path, capsys):
+    # labels 0.4 and 1.7 are not 0 and 1: no ROC, and the outdir is untouched
+    syn = tmp_path / "syn"
+    assert run_cli("synth-diffexpr", "--seed", "2", "--genes", "40", "--planted", "4",
+                   "-o", str(syn)) == 0
+    inputs = ("--y1", str(syn / "y1.csv"), "--y2", str(syn / "y2.csv"),
+              "--t1", str(syn / "t1.csv"), "--t2", str(syn / "t2.csv"))
+    out = tmp_path / "out"
+    assert run_cli("diffexpr", *inputs, "--labels", str(syn / "labels.csv"),
+                   "-o", str(out)) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    labels, _, _ = load_csv(syn / "labels.csv")
+    fuzzy = tmp_path / "fuzzy.csv"
+    save_csv(fuzzy, np.where(labels > 0.5, 1.7, 0.4))
+    capsys.readouterr()
+    assert run_cli("diffexpr", *inputs, "--labels", str(fuzzy), "-o", str(out)) == 1
+    assert "labels must be binary" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
 def test_itrca_predict_flow(tmp_path):
     shr = tmp_path / "shr"
     run_cli("synth-shared", "--seed", "4", "--n", "250", "-o", str(shr))
@@ -564,3 +584,36 @@ def test_commands_compute_without_writing(inputs, tmp_path):
         assert isinstance(artifacts, dict) and isinstance(manifest, dict)
         assert manifest["command"] == name
         assert not out.exists()
+
+
+# ---------------------------------------------------------------- crash mid-commit
+
+@pytest.mark.parametrize("first, rerun", [("rca", "rca-q0"), ("rca-q0", "rca"),
+                                          ("itrca", "itrca-q0"), ("itrca-q0", "itrca")])
+def test_failed_rename_leaves_the_previous_run_or_no_manifest(
+        inputs, tmp_path, monkeypatch, first, rerun):
+    # fail the k-th os.replace of the rerun, for every k the rerun reaches
+    replace = os.replace
+    for k in range(1, 20):
+        out = tmp_path / f"out{k}"
+        assert run_cli(*COMMANDS[first].format(inputs).split(), "-o", str(out)) == 0
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        calls = [0]
+
+        def failing(src, dst, _k=k):
+            calls[0] += 1
+            if calls[0] == _k:
+                raise OSError("injected rename failure")
+            return replace(src, dst)
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", failing)
+            code = run_cli(*COMMANDS[rerun].format(inputs).split(), "-o", str(out))
+        if code == 0:  # k is past the rerun's last rename
+            assert k > 2
+            break
+        after = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert not any(name.startswith(".tmp-") for name in after)
+        assert after == before or "manifest.txt" not in after, k
+    else:
+        pytest.fail("the rerun never completed")

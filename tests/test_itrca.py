@@ -74,6 +74,16 @@ def test_history_monotone_on_planted_instance():
     assert abs(model.history[-1] - model.history[-2]) <= 1e-6 * y1.shape[0] * 27
 
 
+@pytest.mark.parametrize("seed", [0, 6, 7, 8, 9])
+def test_history_is_the_joint_log_marginal(seed):
+    # each pass is scored by the shared solve's closed form; on the last pass
+    # that is the direct likelihood of the fitted model
+    y1, y2, _ = make_shared_private(seed)
+    model = iterative_rca(y1, y2, alpha=0.1)
+    assert model.history[-1] == pytest.approx(joint_log_marginal(model, y1, y2),
+                                              rel=1e-10)
+
+
 def test_rank_monotone_in_alpha():
     y1, y2, _ = make_shared_private(4, private_scale=0.7, shared_scale=1.2)
     ranks = [iterative_rca(y1, y2, alpha=float(a)).ranks
@@ -98,6 +108,24 @@ def test_input_validation():
         iterative_rca(y1[:40], y2, alpha=0.2)
     with pytest.raises(ValueError, match="max_iter"):
         iterative_rca(y1, y2, alpha=0.2, max_iter=0)
+    with pytest.raises(ValueError, match="rank_margin"):
+        iterative_rca(y1, y2, alpha=0.2, rank_margin=-0.5)
+
+
+def test_failed_solve_names_its_block(monkeypatch):
+    import rca.itrca
+    y1, y2, _ = make_shared_private(1, n=50)
+    calls = [0]
+
+    def failing(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise np.linalg.LinAlgError("injected")
+        return rca_fit(*args, **kwargs)
+
+    monkeypatch.setattr(rca.itrca, "rca_fit", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="iteration 1, shared block: injected"):
+        iterative_rca(y1, y2, alpha=0.2)
 
 
 # ---------------------------------------------------------------- likelihood

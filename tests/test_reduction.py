@@ -81,13 +81,18 @@ def test_block_diagonal_matches_explicit(seed):
                     rca_fit(gram, Explicit(dense), n_obs=N_OBS))
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_low_rank_plus_noise_matches_explicit(seed):
+@pytest.mark.parametrize("seed,rank,per_row", [
+    pytest.param(seed, rank, per_row, id=f"{seed}{suffix}") for seed in range(5)
+    for rank, per_row, suffix in [(4, False, ""), (0, False, "-rank0"),
+                                  (4, True, "-per_row"), (0, True, "-rank0-per_row")]])
+def test_low_rank_plus_noise_matches_explicit(seed, rank, per_row):
+    # zero-column factors and a per-row variance vector are the same spec
     rng = np.random.default_rng(200 + seed)
-    factors = rng.standard_normal((P, 4))
-    dense = factors @ factors.T + 0.5 * np.eye(P)
+    factors = rng.standard_normal((P, rank))
+    variance = rng.uniform(0.2, 2.0, P) if per_row else 0.5
+    dense = factors @ factors.T + np.diag(np.broadcast_to(variance, P))
     gram = planted_gram(rng, dense)
-    assert_same_fit(rca_fit(gram, LowRankPlusNoise(factors, 0.5), n_obs=N_OBS),
+    assert_same_fit(rca_fit(gram, LowRankPlusNoise(factors, variance), n_obs=N_OBS),
                     rca_fit(gram, Explicit(dense), n_obs=N_OBS))
 
 
@@ -240,6 +245,7 @@ def test_scaled_identity_fit_is_one_eigensolve(lapack_calls):
     y = rng.standard_normal((40, P))
     for fit in (lambda: rca_fit(gram, ScaledIdentity(0.8)),
                 lambda: rca_fit(gram, 0.8 * np.eye(P)),
+                lambda: rca_fit(gram, LowRankPlusNoise(np.zeros((P, 0)), 0.8)),
                 lambda: ppca_fit(y, 0.5)):
         lapack_calls.clear()
         fit()
@@ -270,10 +276,10 @@ def test_iterative_rca_budget_does_not_grow_with_n(lapack_calls):
     assert per_n[0] == per_n[1]
     calls = per_n[0]
     assert set(calls) <= {"eigh", "cholesky", "inv"}
-    # per pass: three fits (one eigensolve each, at most one factor and one
-    # inverse each) and one factor plus inverse for the likelihood
+    # per pass: three fits, one eigensolve each and at most one factor and
+    # one inverse each; the pass likelihood comes from the shared fit
     assert calls["eigh"] == 3 * passes
-    assert calls["cholesky"] <= 4 * passes and calls["inv"] <= 4 * passes
+    assert calls["cholesky"] <= 3 * passes and calls["inv"] <= 3 * passes
 
 
 # ---------------------------------------------------------------- validation budget
