@@ -67,7 +67,7 @@ class LowRankPlusNoise:
                              f"expected {dim} rows each")
         if (v < 0).any():
             raise ValueError(f"noise variance must be nonnegative, got {v.min()}")
-        return f @ f.T + (np.diag(v) if v.ndim else self.variance * np.eye(dim))
+        return f @ f.T + v * np.eye(dim)
 
 
 @dataclass(frozen=True)
