@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (
-    GenEig,
-    NotPositiveDefiniteError,
-    as_matrix,
-    check_square_symmetric,
-    gen_eig_spd,
-)
+from .linalg import GenEig, _whitener, as_matrix, check_square_symmetric, gen_eig_spd
 
 # Eigenvalues within RANK_TOL above 1 are treated as noise and dropped.
 RANK_TOL = 1e-10
@@ -121,8 +115,8 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
         sample-covariance scale for the rank rule to be the ML one.
     sigma : covariance spec (or raw symmetric array) describing the
         explained part; must be positive definite after the jitter policy.
-    n_obs : number of i.i.d. vectors the Gram averages; only scales the
-        reported log-likelihood.
+    n_obs : finite and positive: the number of i.i.d. vectors the Gram
+        averages; only scales the reported log-likelihood.
     rank_tol : finite and nonnegative; eigenvalues in (1, 1 + rank_tol]
         count as noise. The strict default suits exactly-built Grams;
         callers fitting sample covariances should allow for sampling
@@ -132,6 +126,8 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     -------
     RcaFit. Eigenvalues at or below 1 contribute nothing to the loadings.
     """
+    if not 0.0 < n_obs < np.inf:
+        raise ValueError(f"n_obs must be finite and positive, got {n_obs}")
     if not 0.0 <= rank_tol < np.inf:
         raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
     gram = np.asarray(gram, dtype=float)
@@ -159,15 +155,12 @@ def covariance_log_likelihood(k, cov, count):
     """Log likelihood of count i.i.d. vectors under N(0, k), given only
     their second moment cov (the sum of y y' over the vectors, / count).
 
-    Raises NotPositiveDefiniteError when k has no Cholesky factor.
+    k is factored by rca_fit's whitener, so it follows the same jitter
+    policy: a k the policy rescues is scored under k + jitter I, and one it
+    does not raises NotPositiveDefiniteError.
     """
-    try:
-        chol = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError("model covariance is not positive definite") from exc
-    t = np.linalg.inv(chol)
+    t, logdet, _ = _whitener(k)
     quad = np.einsum("ij,ij->", t @ cov, t)  # trace(K^{-1} cov)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
     return float(-0.5 * count * (logdet + quad + k.shape[0] * np.log(2.0 * np.pi)))
 
 
@@ -175,8 +168,9 @@ def log_marginal(y, x, sigma):
     """Log likelihood of the columns of y under N(0, x x' + sigma).
 
     y is n x d (columns are the i.i.d. vectors), x is n x q (q may be 0)
-    and sigma is n x n. Raises NotPositiveDefiniteError when the assembled
-    covariance has no Cholesky factor.
+    and sigma is n x n. The assembled covariance gets rca_fit's jitter
+    policy: a near-singular one is scored with the jitter added, and
+    NotPositiveDefiniteError is raised when jitter does not rescue it.
     """
     y = as_matrix(y, "y")
     sigma = check_square_symmetric(sigma, "sigma")
@@ -187,8 +181,7 @@ def log_marginal(y, x, sigma):
         k = sigma
     else:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[:, None]
+        x = as_matrix(x[:, None] if x.ndim == 1 else x, "x")
         if x.shape[0] != n:
             raise ValueError(f"x has {x.shape[0]} rows, expected {n}")
         k = x @ x.T + sigma

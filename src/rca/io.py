@@ -147,25 +147,21 @@ def atomic_write_text(path, text):
 _BLOCK_CELLS = 1 << 16
 
 
-def save_csv(path, matrix, header=None, row_labels=None):
+def save_csv(path, matrix, header=None):
     """Write a matrix (or 1-D vector, saved as one column) atomically."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     n_rows, n_cols = matrix.shape
-    labeled = row_labels is not None
-    row_fmt = ",".join(["%s"] * labeled + [FLOAT_FMT] * n_cols) + "\n"
+    row_fmt = ",".join([FLOAT_FMT] * n_cols) + "\n"
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
     with _atomic_file(path) as fh:
         if header is not None:
-            fh.write(",".join(["id"] * labeled + list(header)) + "\n")
+            fh.write(",".join(header) + "\n")
         elif n_rows == 0:
             fh.write("\n")  # every file ends in a newline, even with no lines
         for start in range(0, n_rows, step):
             block = matrix[start:start + step].tolist()
-            if labeled:
-                block = [[row_labels[i], *row]
-                         for i, row in enumerate(block, start)]
             cells = tuple(itertools.chain.from_iterable(block))
             fh.write((row_fmt * len(block)) % cells)
 

@@ -71,7 +71,8 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     shared solve's closed form: that of the sample covariance under
     K = Sigma_shared + V V', read off the generalized spectrum. It equals
     joint_log_marginal unless the jitter policy fires on Sigma_shared, which
-    needs the two views' scales about 1e12 apart; K then carries the jitter.
+    needs the two views' scales about 1e12 apart: K then carries that
+    jitter, while joint_log_marginal applies the same policy to K itself.
 
     alpha in (0, 1) fixes the noise floors: sigma_i^2 = (alpha / d_i)
     trace(C_ii).
@@ -92,7 +93,7 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if tol is None:
         tol = 1e-6 * n * (d1 + d2)
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -137,7 +138,8 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
 
 def joint_log_marginal(model, y1, y2):
     """Exact Gaussian log likelihood of the two views under the model's
-    joint covariance, summed over rows (views centered by the model means)."""
+    joint covariance, summed over rows (views centered by the model means).
+    The covariance gets rca_fit's jitter policy, as in log_marginal."""
     y1 = as_matrix(y1, "y1")
     y2 = as_matrix(y2, "y2")
     yc = np.hstack([y1 - model.mu1, y2 - model.mu2])

@@ -28,9 +28,9 @@ class KernelSpec:
     noise_mode: str = FRACTION
 
     def __post_init__(self):
-        if self.lengthscale <= 0:
+        if not self.lengthscale > 0:
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ValueError(f"noise must be nonnegative, got {self.noise}")
         if self.noise_mode not in (ABSOLUTE, FRACTION):
             raise ValueError(f"unknown noise mode: {self.noise_mode!r}")

@@ -68,31 +68,20 @@ class GenEig:
     jitter: float
 
 
-def ensure_spd(sigma):
-    """Return (sigma_eff, eigh of sigma_eff) where sigma_eff is sigma itself,
-    or sigma jittered once on the diagonal if its smallest eigenvalue sits at
-    or below the floor. sigma must already be checked square and symmetric.
-    Raises NotPositiveDefiniteError, naming the offending eigenvalue, if
-    jitter does not rescue it.
-    """
-    dim = sigma.shape[0]
-    eig = np.linalg.eigh(sigma)
-    if eig.eigenvalues[0] > JITTER_FLOOR * np.trace(sigma) / dim:
-        return sigma, eig
-    jittered = sigma + (JITTER_SCALE * np.trace(sigma) / dim) * np.eye(dim)
-    eig = np.linalg.eigh(jittered)
-    if eig.eigenvalues[0] <= JITTER_FLOOR * np.trace(jittered) / dim:
-        raise NotPositiveDefiniteError(
-            f"covariance not positive definite: smallest eigenvalue "
-            f"{eig.eigenvalues[0]:.6e} after jitter")
-    return jittered, eig
-
-
 def _whitener(sigma):
-    """(T, log|sigma_eff|, jitter) with T sigma_eff T' = I. T is L^{-1} when
-    1 / ||L^{-1}||_F^2 = 1 / trace(sigma^{-1}), a lower bound on the smallest
-    eigenvalue, clears the jitter floor; otherwise ensure_spd decides on the
-    spectrum and T = Lambda^{-1/2} U'."""
+    """(T, log|sigma_eff|, jitter) with T sigma_eff T' = I, where sigma_eff
+    is sigma plus jitter times the identity: the one place a covariance is
+    factored and the jitter policy applied. sigma must already be checked
+    square and symmetric.
+
+    T is L^{-1} when 1 / ||L^{-1}||_F^2 = 1 / trace(sigma^{-1}), a lower
+    bound on the smallest eigenvalue, clears the jitter floor. Otherwise one
+    eigh of sigma decides: jitter is JITTER_SCALE * trace/dim if the
+    smallest eigenvalue sits at or below the floor (sigma + jitter I has the
+    same eigenvectors, so it shifts the spectrum), else 0, and
+    T = Lambda^{-1/2} U'. Raises NotPositiveDefiniteError, naming the
+    offending eigenvalue, if jitter does not rescue sigma.
+    """
     scale = np.trace(sigma) / sigma.shape[0]
     try:
         chol = np.linalg.cholesky(sigma)
@@ -101,17 +90,21 @@ def _whitener(sigma):
             return t, 2.0 * float(np.log(np.diag(chol)).sum()), 0.0
     except np.linalg.LinAlgError:
         pass
-    sigma_eff, (values, vectors) = ensure_spd(sigma)
-    jitter = 0.0 if sigma_eff is sigma else JITTER_SCALE * scale
-    t = vectors.T / np.sqrt(values)[:, None]
-    return t, float(np.log(values).sum()), jitter
+    values, vectors = np.linalg.eigh(sigma)
+    jitter = JITTER_SCALE * scale if values[0] <= JITTER_FLOOR * scale else 0.0
+    values = values + jitter
+    if values[0] <= JITTER_FLOOR * (scale + jitter):
+        raise NotPositiveDefiniteError(
+            f"covariance not positive definite: smallest eigenvalue "
+            f"{values[0]:.6e} after jitter")
+    return vectors.T / np.sqrt(values)[:, None], float(np.log(values).sum()), jitter
 
 
 def gen_eig_spd(a, sigma):
     """All eigenpairs of the symmetric-definite problem A S = Sigma S D.
 
     a (the gram) and sigma are (n, n) symmetric; sigma must be positive
-    definite after the jitter policy (decided as ensure_spd does). Returns
+    definite after the jitter policy, which _whitener applies. Returns
     GenEig with the spectrum sorted descending and S' Sigma S = I. One
     reduction, one eigensolve: Sigma = v I exactly gives C = A / v,
     S = V / sqrt(v); any other Sigma gives C = T A T', S = T' V with

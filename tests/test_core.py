@@ -138,6 +138,13 @@ def test_fit_rejects_bad_rank_tol(rank_tol):
         rca_fit(np.diag([3.0, 0.8, 0.6]), ScaledIdentity(1.0), rank_tol=rank_tol)
 
 
+@pytest.mark.parametrize("n_obs", [-4, 0, np.nan, np.inf])
+def test_fit_rejects_bad_n_obs(n_obs):
+    # n_obs scales the likelihood: a negative count would flip its sign
+    with pytest.raises(ValueError, match="n_obs"):
+        rca_fit(2 * np.eye(3), ScaledIdentity(1.0), n_obs=n_obs)
+
+
 # ---------------------------------------------------------------- log_marginal
 
 def test_log_marginal_zero_data():
@@ -165,6 +172,11 @@ def test_log_marginal_matches_bruteforce_oracle():
 def test_log_marginal_rejects_indefinite():
     with pytest.raises(NotPositiveDefiniteError):
         log_marginal(np.ones((2, 2)), None, np.diag([1.0, -1.0]))
+
+
+def test_log_marginal_rejects_non_finite_x():
+    with pytest.raises(ValueError, match="x contains non-finite"):
+        log_marginal(np.ones((3, 2)), np.array([np.nan, 1.0, 1.0]), np.eye(3))
 
 
 # ---------------------------------------------------------------- ppca_fit

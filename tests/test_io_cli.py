@@ -74,12 +74,15 @@ def test_round_trip_bit_exact(tmp_path):
 
 def test_labeled_round_trip(tmp_path):
     p = tmp_path / "m.csv"
-    save_csv(p, np.array([[1.5, 2.5], [3.5, 4.5]]), header=["x", "y"],
-             row_labels=["g1", "g2"])
+    p.write_text("id,x,y\ng1,1.5,2.5\ng2,3.5,4.5\n")
     values, header, labels = load_csv(p)
     assert header == ["x", "y"]
     assert labels == ["g1", "g2"]
     np.testing.assert_array_equal(values, [[1.5, 2.5], [3.5, 4.5]])
+    # the numeric part saves back as the file without its label column
+    q = tmp_path / "m2.csv"
+    save_csv(q, values, header=header)
+    assert q.read_text() == "x,y\n1.5,2.5\n3.5,4.5\n"
 
 
 # a number as save_csv or repr writes it, or a cell float() may or may not read
@@ -147,9 +150,6 @@ def test_save_golden_bytes(tmp_path):
          "0.10000000000000001,-0\n4.9406564584124654e-324,1e+308\n"),
         (np.array([np.nan, np.inf, -np.inf, 1 / 3]), {},
          "nan\ninf\n-inf\n0.33333333333333331\n"),
-        (np.array([[1.5, 2.0], [-3.0, 0.25]]),
-         {"header": ["x", "y"], "row_labels": ["g1", 7]},
-         "id,x,y\ng1,1.5,2\n7,-3,0.25\n"),
         (np.array([[1.0], [2.0]]), {"header": ["v"]}, "v\n1\n2\n"),
         (np.zeros((0, 3)), {}, "\n"),
         (np.zeros((0, 2)), {"header": ["a", "b"]}, "a,b\n"),
@@ -471,6 +471,47 @@ def test_itrca_with_no_iterations_fails_without_outdir(tmp_path, capsys):
     assert run_cli("itrca", "--y1", str(shr / "y1.csv"), "--y2", str(shr / "y2.csv"),
                    "--alpha", "0.1", "--max-iter", "0", "-o", str(out)) == 1
     assert "ValueError: max_iter must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_itrca_rejects_a_nan_tol(tmp_path, capsys):
+    # NaN fails every comparison, so it would run all max_iter passes and
+    # report converged=False
+    shr = tmp_path / "shr"
+    assert run_cli("synth-shared", "--seed", "4", "--n", "250", "-o", str(shr)) == 0
+    out = tmp_path / "out"
+    assert run_cli("itrca", "--y1", str(shr / "y1.csv"), "--y2", str(shr / "y2.csv"),
+                   "--alpha", "0.1", "--tol", "nan", "-o", str(out)) == 1
+    assert "ValueError: tol must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_obs", ["-4", "0"])
+def test_rca_rejects_a_non_positive_n_obs(tmp_path, capsys, n_obs):
+    gram = tmp_path / "g.csv"
+    save_csv(gram, 2 * np.eye(3))
+    args = ("rca", "--gram", str(gram), "--sigma", "identity:1.0", "-o", str(tmp_path / "out"))
+    assert run_cli(*args) == 0
+    before = {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()}
+    capsys.readouterr()
+    assert run_cli(*args, "--n-obs", n_obs) == 1
+    assert "ValueError: n_obs must be finite and positive" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()} == before
+
+
+@pytest.mark.parametrize("flag,name", [("--lengthscale", "lengthscale"),
+                                       ("--noise-variance", "noise"),
+                                       ("--noise-fraction", "noise")])
+def test_diffexpr_names_a_nan_kernel_parameter(tmp_path, capsys, flag, name):
+    syn = tmp_path / "syn"
+    assert run_cli("synth-diffexpr", "--seed", "1", "--genes", "30",
+                   "--planted", "3", "-o", str(syn)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("diffexpr", "--y1", str(syn / "y1.csv"), "--y2", str(syn / "y2.csv"),
+                   "--t1", str(syn / "t1.csv"), "--t2", str(syn / "t2.csv"),
+                   flag, "nan", "-o", str(out)) == 1
+    assert f"ValueError: {name} must be" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -56,6 +56,12 @@ def test_spec_validation():
         KernelSpec(1.0, 1.5, FRACTION)
     with pytest.raises(ValueError, match="noise mode"):
         KernelSpec(1.0, 0.1, "bogus")
+    # NaN fails every comparison; let through, it makes the whole Gram NaN
+    with pytest.raises(ValueError, match="lengthscale"):
+        KernelSpec(float("nan"), 0.1, ABSOLUTE)
+    for mode in (ABSOLUTE, FRACTION):
+        with pytest.raises(ValueError, match="noise must be nonnegative"):
+            KernelSpec(1.0, float("nan"), mode)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

@@ -13,13 +13,14 @@ from rca.core import (
     Explicit,
     LowRankPlusNoise,
     ScaledIdentity,
+    log_marginal,
     ppca_fit,
     rca_fit,
 )
 from rca.cca import cca_fit
 from rca.itrca import iterative_rca
 from rca.synth import make_shared_private
-from rca.linalg import JITTER_FLOOR, NotPositiveDefiniteError, ensure_spd
+from rca.linalg import JITTER_FLOOR, JITTER_SCALE, NotPositiveDefiniteError
 
 P = 12
 N_OBS = 50
@@ -134,6 +135,16 @@ def test_log_likelihood_matches_direct_evaluation(seed, kind):
 
 # ---------------------------------------------------------------- jitter rule
 
+def jittered_reference(sigma):
+    """The jitter policy from its definition: sigma itself, or sigma plus
+    JITTER_SCALE * trace/dim on the diagonal when its smallest eigenvalue
+    sits at or below JITTER_FLOOR * trace/dim."""
+    scale = np.trace(sigma) / sigma.shape[0]
+    if np.linalg.eigvalsh(sigma)[0] > JITTER_FLOOR * scale:
+        return sigma
+    return sigma + JITTER_SCALE * scale * np.eye(sigma.shape[0])
+
+
 def near_singular_sigma(rng, factor):
     """Sigma whose smallest eigenvalue is `factor` times the jitter floor."""
     bulk = np.linspace(1.0, 4.0, P - 1)
@@ -145,15 +156,16 @@ def near_singular_sigma(rng, factor):
 @pytest.mark.parametrize("factor,jittered", [(1.5, False), (3.0, False),
                                              (0.5, True), (0.9, True)])
 def test_jitter_decision_matches_ensure_spd(seed, factor, jittered):
+    # "ensure_spd" names the rule that jittered_reference implements
     rng = np.random.default_rng(500 + seed)
     sigma = near_singular_sigma(rng, factor)
-    sigma_eff, _ = ensure_spd(sigma)
+    sigma_eff = jittered_reference(sigma)
     assert (not np.array_equal(sigma_eff, sigma)) == jittered
     gram = planted_gram(rng, sigma)
     fit = rca_fit(gram, Explicit(sigma))
     assert (fit.eig.jitter > 0) == jittered
     s = fit.eig.vectors
-    # S is normalized against exactly the covariance ensure_spd settles on;
+    # S is normalized against exactly the covariance the policy settles on;
     # the other choice would put ~0.01 or ~100 on one diagonal entry
     assert np.abs(s.T @ sigma_eff @ s - np.eye(P)).max() <= 1e-3
 
@@ -162,7 +174,7 @@ def test_rank_deficient_sigma_still_fits():
     rng = np.random.default_rng(600)
     f = rng.standard_normal((P, P - 2))
     sigma = f @ f.T
-    sigma_eff, _ = ensure_spd(sigma)
+    sigma_eff = jittered_reference(sigma)
     assert not np.array_equal(sigma_eff, sigma)
     gram = planted_gram(rng, sigma + np.eye(P))
     fit = rca_fit(gram, Explicit(sigma))
@@ -171,6 +183,19 @@ def test_rank_deficient_sigma_still_fits():
     assert np.isfinite(fit.loadings).all()
     s = fit.eig.vectors
     assert np.abs(s.T @ sigma_eff @ s - np.eye(P)).max() <= 1e-3
+
+
+def test_log_marginal_scores_a_singular_covariance_with_the_jitter():
+    # the covariance rca_fit would jitter and fit is scored under the same
+    # jitter, not rejected
+    sigma = np.diag([1.0, 2.0, 0.0])
+    y = np.random.default_rng(650).standard_normal((3, 7)) * [[1.0], [1.5], [0.0]]
+    k_eff = sigma + JITTER_SCALE * np.trace(sigma) / 3 * np.eye(3)
+    sign, logdet = np.linalg.slogdet(k_eff)
+    assert sign > 0
+    quad = np.trace(np.linalg.solve(k_eff, y @ y.T / 7))
+    direct = -0.5 * 7 * (logdet + quad + 3 * np.log(2.0 * np.pi))
+    assert log_marginal(y, None, sigma) == pytest.approx(direct, rel=1e-10)
 
 
 @pytest.mark.parametrize("values", [[1.0, 2.0, -1.0], [3.0, -1e-3, 2.0],
@@ -237,6 +262,32 @@ def test_dense_fit_factors_once_and_solves_once(lapack_calls, kind):
     assert lapack_calls["cholesky"] <= 1 and lapack_calls["inv"] <= 1
     assert sum(lapack_calls.values()) == (lapack_calls["eigh"] + lapack_calls["cholesky"]
                                           + lapack_calls["inv"])
+
+
+@pytest.mark.parametrize("kind", ["near_singular", "rank_deficient"])
+def test_jittered_fit_is_two_eigensolves(lapack_calls, kind):
+    # one eigh of Sigma both decides the jitter and whitens, since Sigma + cI
+    # has Sigma's eigenvectors; the other is the reduced problem's
+    rng = np.random.default_rng(905)
+    if kind == "near_singular":
+        sigma = near_singular_sigma(rng, 0.5)
+    else:
+        f = rng.standard_normal((P, P - 2))
+        sigma = f @ f.T
+    gram = planted_gram(rng, sigma + np.eye(P))
+    lapack_calls.clear()
+    fit = rca_fit(gram, Explicit(sigma))
+    assert fit.eig.jitter > 0
+    assert lapack_calls["eigh"] == 2
+    assert set(lapack_calls) <= {"eigh", "cholesky", "inv"}
+
+
+def test_log_marginal_is_one_factor_and_one_inverse(lapack_calls):
+    rng = np.random.default_rng(906)
+    y, x, sigma = rng.standard_normal((P, 30)), rng.standard_normal((P, 2)), random_spd(rng, P)
+    lapack_calls.clear()
+    log_marginal(y, x, sigma)
+    assert lapack_calls == Counter(cholesky=1, inv=1)
 
 
 def test_scaled_identity_fit_is_one_eigensolve(lapack_calls):
