@@ -32,9 +32,16 @@ class CcaFit:
     fit: RcaFit
 
 
-def _center(y, name):
-    y = as_matrix(y, name)
-    return y - y.mean(axis=0)
+def _center_views(y1, y2, means=None):
+    """(joint, mu1, mu2): the two checked views centered by their column
+    means, or by the given (mu1, mu2), and stacked side by side. The one
+    front end of every two-view fit and likelihood."""
+    y1 = as_matrix(y1, "y1")
+    y2 = as_matrix(y2, "y2")
+    if y2.shape[0] != y1.shape[0]:
+        raise ValueError(f"row-count mismatch: y1 has {y1.shape[0]}, y2 has {y2.shape[0]}")
+    mu1, mu2 = (y1.mean(axis=0), y2.mean(axis=0)) if means is None else means
+    return np.hstack([y1 - mu1, y2 - mu2]), mu1, mu2
 
 
 def cca_fit(y1, y2):
@@ -45,19 +52,13 @@ def cca_fit(y1, y2):
     excess over one is the canonical correlation. Correlations that land
     above 1 by roundoff are clamped and flagged on the result.
     """
-    y1 = _center(y1, "y1")
-    y2 = _center(y2, "y2")
-    n = y1.shape[0]
-    if y2.shape[0] != n:
-        raise ValueError(f"row-count mismatch: y1 has {n}, y2 has {y2.shape[0]}")
-    d1 = y1.shape[1]
-    joint = np.hstack([y1, y2])
+    joint, mu1, _ = _center_views(y1, y2)
+    n, d1 = joint.shape[0], mu1.size
     c = joint.T @ joint / n
-    c11 = c[:d1, :d1]
-    c22 = c[d1:, d1:]
-    fit = rca_fit(c, BlockDiagonal((c11, c22)), n_obs=n)
+    c11, c22 = c[:d1, :d1], c[d1:, d1:]
+    fit = rca_fit(c, BlockDiagonal((c11, c22)), n_obs=n, rank_tol=CORR_TOL)
 
-    q = int(np.sum(fit.eig.values > 1.0 + CORR_TOL))
+    q = fit.q
     correlations = fit.eig.values[:q] - 1.0
     clamped = bool((correlations > 1.0).any())
     correlations = np.minimum(correlations, 1.0)
@@ -76,14 +77,10 @@ def cca_oracle(y1, y2):
     """Canonical correlations by the direct route: singular spectrum of the
     whitened cross-covariance. Independent of the generalized-eigenvalue
     path; returns all min(d1, d2) correlations, descending."""
-    y1 = _center(y1, "y1")
-    y2 = _center(y2, "y2")
-    if y2.shape[0] != y1.shape[0]:
-        raise ValueError("row-count mismatch")
-    n = y1.shape[0]
-    c11 = y1.T @ y1 / n
-    c22 = y2.T @ y2 / n
-    c12 = y1.T @ y2 / n
+    joint, mu1, _ = _center_views(y1, y2)
+    n, d1 = joint.shape[0], mu1.size
+    c = joint.T @ joint / n
+    c11, c22, c12 = c[:d1, :d1], c[d1:, d1:], c[:d1, d1:]
 
     def inv_sqrt(m):
         lam, u = np.linalg.eigh(m)

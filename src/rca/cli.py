@@ -127,10 +127,8 @@ def cmd_diffexpr(args):
 
     manifest = {
         "command": "diffexpr", "y1": args.y1, "y2": args.y2,
-        "lengthscale": args.lengthscale,
-        "noise_mode": ABSOLUTE if args.noise_variance is not None else FRACTION,
-        "noise": (args.noise_variance if args.noise_variance is not None
-                  else args.noise_fraction),
+        "lengthscale": spec.lengthscale, "noise_mode": spec.noise_mode,
+        "noise": spec.noise,
         "standardize": not args.no_standardize,
         "q_used": ranking.q_used,
     }

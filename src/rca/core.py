@@ -31,8 +31,8 @@ class ScaledIdentity:
     variance: float
 
     def materialize(self, dim):
-        if self.variance <= 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not 0 < self.variance < np.inf:
+            raise ValueError(f"variance must be finite and positive, got {self.variance}")
         return self.variance * np.eye(dim)
 
 
@@ -59,8 +59,9 @@ class LowRankPlusNoise:
         if f.ndim != 2 or f.shape[0] != dim or v.shape not in ((), (dim,)):
             raise ValueError(f"factors have shape {f.shape} and variance {v.shape}, "
                              f"expected {dim} rows each")
-        if (v < 0).any():
-            raise ValueError(f"noise variance must be nonnegative, got {v.min()}")
+        bad = v[~((0 <= v) & (v < np.inf))]
+        if bad.size:
+            raise ValueError(f"noise variance must be finite and nonnegative, got {bad[0]}")
         return f @ f.T + v * np.eye(dim)
 
 
@@ -151,26 +152,14 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     return RcaFit(eig=eig, q=q, loadings=loadings, log_likelihood=float(ll))
 
 
-def covariance_log_likelihood(k, cov, count):
-    """Log likelihood of count i.i.d. vectors under N(0, k), given only
-    their second moment cov (the sum of y y' over the vectors, / count).
-
-    k is factored by rca_fit's whitener, so it follows the same jitter
-    policy: a k the policy rescues is scored under k + jitter I, and one it
-    does not raises NotPositiveDefiniteError.
-    """
-    t, logdet, _ = _whitener(k)
-    quad = np.einsum("ij,ij->", t @ cov, t)  # trace(K^{-1} cov)
-    return float(-0.5 * count * (logdet + quad + k.shape[0] * np.log(2.0 * np.pi)))
-
-
 def log_marginal(y, x, sigma):
     """Log likelihood of the columns of y under N(0, x x' + sigma).
 
     y is n x d (columns are the i.i.d. vectors), x is n x q (q may be 0)
-    and sigma is n x n. The assembled covariance gets rca_fit's jitter
-    policy: a near-singular one is scored with the jitter added, and
-    NotPositiveDefiniteError is raised when jitter does not rescue it.
+    and sigma is n x n. The assembled covariance is factored by rca_fit's
+    whitener, so it gets the same jitter policy: a near-singular one is
+    scored with the jitter added, and NotPositiveDefiniteError is raised
+    when jitter does not rescue it.
     """
     y = as_matrix(y, "y")
     sigma = check_square_symmetric(sigma, "sigma")
@@ -185,7 +174,9 @@ def log_marginal(y, x, sigma):
         if x.shape[0] != n:
             raise ValueError(f"x has {x.shape[0]} rows, expected {n}")
         k = x @ x.T + sigma
-    return covariance_log_likelihood(k, y @ y.T / d, d)
+    t, logdet, _ = _whitener(k)
+    quad = np.einsum("ij,ij->", t @ (y @ y.T / d), t)  # trace(K^{-1} y y') / d
+    return float(-0.5 * d * (logdet + quad + n * np.log(2.0 * np.pi)))
 
 
 def ppca_fit(y, sigma2):
@@ -197,8 +188,8 @@ def ppca_fit(y, sigma2):
     covariance, with columns for lambda <= sigma2 dropped.
     """
     y = as_matrix(y, "y")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    if not 0 < sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
     n = y.shape[0]
     mean = y.mean(axis=0)
     yc = y - mean

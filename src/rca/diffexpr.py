@@ -113,6 +113,8 @@ def roc_curve(scores, labels):
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.shape != scores.shape:
         raise ValueError("scores and labels must be matching 1-D vectors")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores contain non-finite entries")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be binary")
     positives = int(labels.sum())

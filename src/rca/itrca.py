@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LowRankPlusNoise, _block_diag, covariance_log_likelihood, rca_fit
-from .linalg import as_matrix
+from .cca import _center_views
+from .core import LowRankPlusNoise, _block_diag, log_marginal, rca_fit
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,8 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     components land at 1 + |rho|), so the default 3 / sqrt(n) drops those
     while leaving real structure, which sits far above the band.
     """
-    y1 = as_matrix(y1, "y1")
-    y2 = as_matrix(y2, "y2")
-    n, d1 = y1.shape
-    d2 = y2.shape[1]
-    if y2.shape[0] != n:
-        raise ValueError(f"row-count mismatch: y1 has {n}, y2 has {y2.shape[0]}")
+    joint, mu1, mu2 = _center_views(y1, y2)
+    n, d1, d2 = joint.shape[0], mu1.size, mu2.size
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if tol is None:
@@ -102,8 +98,6 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     if not 0.0 <= rank_margin < np.inf:
         raise ValueError(f"rank_margin must be finite and nonnegative, got {rank_margin}")
 
-    mu1, mu2 = y1.mean(axis=0), y2.mean(axis=0)
-    joint = np.hstack([y1 - mu1, y2 - mu2])
     c = joint.T @ joint / n
     c11, c22 = c[:d1, :d1], c[d1:, d1:]
     sigma1_sq = alpha * np.trace(c11) / d1
@@ -138,13 +132,11 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
 
 def joint_log_marginal(model, y1, y2):
     """Exact Gaussian log likelihood of the two views under the model's
-    joint covariance, summed over rows (views centered by the model means).
-    The covariance gets rca_fit's jitter policy, as in log_marginal."""
-    y1 = as_matrix(y1, "y1")
-    y2 = as_matrix(y2, "y2")
-    yc = np.hstack([y1 - model.mu1, y2 - model.mu2])
-    n = yc.shape[0]
-    return covariance_log_likelihood(model.joint_covariance(), yc.T @ yc / n, n)
+    joint covariance, summed over rows (views centered by the model means):
+    log_marginal of the centered rows, so the covariance gets rca_fit's
+    jitter policy."""
+    joint, _, _ = _center_views(y1, y2, (model.mu1, model.mu2))
+    return log_marginal(joint.T, None, model.joint_covariance())
 
 
 def predict_view1(model, y2, mode="paper"):

@@ -30,8 +30,8 @@ class KernelSpec:
     def __post_init__(self):
         if not self.lengthscale > 0:
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
-        if not self.noise >= 0:
-            raise ValueError(f"noise must be nonnegative, got {self.noise}")
+        if not 0 <= self.noise < np.inf:
+            raise ValueError(f"noise must be nonnegative and finite, got {self.noise}")
         if self.noise_mode not in (ABSOLUTE, FRACTION):
             raise ValueError(f"unknown noise mode: {self.noise_mode!r}")
         if self.noise_mode == FRACTION and self.noise > 1:

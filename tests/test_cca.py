@@ -101,6 +101,20 @@ def test_invariance_under_invertible_per_view_transforms():
     np.testing.assert_allclose(transformed, base, atol=1e-8)
 
 
+def test_rank_is_the_joint_fit_rank_near_the_threshold():
+    # a canonical correlation of 5e-9 puts the eigenvalue 1 + rho inside
+    # (1 + 1e-10, 1 + CORR_TOL]: dropped as a correlation, it must be
+    # dropped from the joint fit's rank and loadings too
+    basis, _ = np.linalg.qr(np.column_stack(
+        [np.ones(50), np.random.default_rng(13).standard_normal((50, 2))]))
+    a, e = basis[:, 1:2], basis[:, 2:3]  # orthonormal and zero-mean
+    rho = 5e-9
+    fit = cca_fit(a, rho * a + np.sqrt(1.0 - rho ** 2) * e)
+    assert fit.correlations.size == 0
+    assert fit.fit.q == fit.correlations.size
+    assert fit.fit.loadings.shape == (2, 0)
+
+
 def test_row_count_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         cca_fit(np.ones((4, 2)), np.ones((5, 2)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,17 @@ def test_materialize_errors():
         LowRankPlusNoise(np.zeros((2, 0)), np.array([1.0, -1.0])).materialize(2)
     with pytest.raises(ValueError, match="block 1 must be square"):
         BlockDiagonal((np.eye(1), np.ones((1, 2)))).materialize(2)
+    # NaN and inf variances are named as such, without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (np.nan, np.inf, -np.inf, 0.0):
+            with pytest.raises(ValueError, match=f"variance must be finite and positive, got {v}"):
+                ScaledIdentity(v).materialize(2)
+        for v, shown in ((np.nan, "nan"), (np.inf, "inf"), (np.array([1.0, np.nan]), "nan"),
+                         (np.array([np.inf, 1.0]), "inf")):
+            with pytest.raises(ValueError, match="noise variance must be finite and "
+                                                 f"nonnegative, got {shown}"):
+                rca_fit(np.eye(2), LowRankPlusNoise(np.zeros((2, 0)), v))
 
 
 # ---------------------------------------------------------------- rca_fit
@@ -212,6 +225,9 @@ def test_ppca_matches_tipping_bishop_oracle():
 def test_ppca_rejects_bad_sigma2():
     with pytest.raises(ValueError, match="positive"):
         ppca_fit(np.ones((3, 2)), 0.0)
+    for sigma2 in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"sigma2 must be finite and positive, got {sigma2}"):
+            ppca_fit(np.ones((3, 2)), sigma2)
 
 
 def test_ppca_log_likelihood_equals_primal_marginal():

@@ -158,3 +158,10 @@ def test_roc_rejects_single_class():
         roc_curve(np.array([1.0, 2.0]), np.array([1, 1]))
     with pytest.raises(ValueError, match="binary"):
         roc_curve(np.array([1.0, 2.0]), np.array([1, 2]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_roc_rejects_non_finite_scores(bad):
+    # a NaN score would sort arbitrarily and give a meaningless AUC
+    with pytest.raises(ValueError, match="scores contain non-finite entries"):
+        roc_curve(np.array([bad, 1.0, 0.5]), np.array([1, 0, 1]))

@@ -1,6 +1,7 @@
 import argparse
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -512,6 +513,48 @@ def test_diffexpr_names_a_nan_kernel_parameter(tmp_path, capsys, flag, name):
                    "--t1", str(syn / "t1.csv"), "--t2", str(syn / "t2.csv"),
                    flag, "nan", "-o", str(out)) == 1
     assert f"ValueError: {name} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("kind", ["ppca", "identity", "lowrank"])
+def test_a_non_finite_variance_is_named(tmp_path, capsys, kind, value):
+    message = {"ppca": "sigma2 must be finite and positive",
+               "identity": "variance must be finite and positive",
+               "lowrank": "noise variance must be finite and nonnegative"}[kind]
+    rng = np.random.default_rng(5)
+    data, gram, factors = tmp_path / "y.csv", tmp_path / "g.csv", tmp_path / "f.csv"
+    save_csv(data, rng.standard_normal((20, 4)))
+    save_csv(gram, 2 * np.eye(3))
+    save_csv(factors, np.ones((3, 1)))
+    out = str(tmp_path / "out")
+
+    def args(var):
+        if kind == "ppca":
+            return ("ppca", "--data", str(data), "--sigma2", var, "-o", out)
+        spec = f"identity:{var}" if kind == "identity" else f"lowrank:{factors}:{var}"
+        return ("rca", "--gram", str(gram), "--sigma", spec, "-o", out)
+
+    assert run_cli(*args("1.0")) == 0
+    before = {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()}
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*args(value)) == 1
+    assert f"ValueError: {message}, got {value}" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()} == before
+
+
+def test_diffexpr_names_an_infinite_noise_variance(tmp_path, capsys):
+    syn = tmp_path / "syn"
+    assert run_cli("synth-diffexpr", "--seed", "1", "--genes", "30",
+                   "--planted", "3", "-o", str(syn)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli("diffexpr", "--y1", str(syn / "y1.csv"), "--y2", str(syn / "y2.csv"),
+                   "--t1", str(syn / "t1.csv"), "--t2", str(syn / "t2.csv"),
+                   "--noise-variance", "inf", "-o", str(out)) == 1
+    assert "ValueError: noise must be nonnegative and finite, got inf" in capsys.readouterr().err
     assert not out.exists()
 
 

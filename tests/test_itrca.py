@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rca.cca import cca_fit, cca_oracle
 from rca.core import ppca_fit, rca_fit
 from rca.itrca import (
     iterative_rca,
@@ -112,6 +113,21 @@ def test_input_validation():
         iterative_rca(y1, y2, alpha=0.2, tol=float("nan"))
     with pytest.raises(ValueError, match="rank_margin"):
         iterative_rca(y1, y2, alpha=0.2, rank_margin=-0.5)
+
+
+@pytest.mark.parametrize("fit", ["cca_fit", "cca_oracle", "iterative_rca",
+                                 "joint_log_marginal"])
+def test_two_view_fits_share_one_row_count_check(fit):
+    y1, y2, _ = make_shared_private(1, n=50)
+    calls = {
+        "cca_fit": lambda: cca_fit(y1[:40], y2),
+        "cca_oracle": lambda: cca_oracle(y1[:40], y2),
+        "iterative_rca": lambda: iterative_rca(y1[:40], y2, alpha=0.2),
+        "joint_log_marginal": lambda: joint_log_marginal(
+            iterative_rca(y1, y2, alpha=0.2, max_iter=1), y1[:40], y2),
+    }
+    with pytest.raises(ValueError, match=r"^row-count mismatch: y1 has 40, y2 has 50$"):
+        calls[fit]()
 
 
 def test_failed_solve_names_its_block(monkeypatch):

@@ -62,6 +62,9 @@ def test_spec_validation():
     for mode in (ABSOLUTE, FRACTION):
         with pytest.raises(ValueError, match="noise must be nonnegative"):
             KernelSpec(1.0, float("nan"), mode)
+        # an infinite absolute noise would put inf on the Gram's diagonal
+        with pytest.raises(ValueError, match="noise must be nonnegative and finite, got inf"):
+            KernelSpec(20.0, float("inf"), mode)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
