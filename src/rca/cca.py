@@ -41,6 +41,9 @@ def _center_views(y1, y2, means=None):
     if y2.shape[0] != y1.shape[0]:
         raise ValueError(f"row-count mismatch: y1 has {y1.shape[0]}, y2 has {y2.shape[0]}")
     mu1, mu2 = (y1.mean(axis=0), y2.mean(axis=0)) if means is None else means
+    for name, y, mu in (("y1", y1, mu1), ("y2", y2, mu2)):
+        if np.shape(mu) != (y.shape[1],):
+            raise ValueError(f"{name} has {y.shape[1]} columns but {np.size(mu)} means")
     return np.hstack([y1 - mu1, y2 - mu2]), mu1, mu2
 
 

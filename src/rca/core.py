@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import GenEig, _whitener, as_matrix, check_square_symmetric, gen_eig_spd
+from .linalg import (JITTER_FLOOR, GenEig, _whitener, as_matrix, check_square_symmetric,
+                     gen_eig_lowrank, gen_eig_spd)
 
 # Eigenvalues within RANK_TOL above 1 are treated as noise and dropped.
 RANK_TOL = 1e-10
@@ -22,9 +23,9 @@ RANK_TOL = 1e-10
 
 # ------------------------------------------------------------------ covariance specs
 #
-# Each spec's materialize(dim) checks only the shapes and scalars it was
-# given and builds the dense dim x dim Sigma; gen_eig_spd checks the gram and
-# that Sigma (finite, square, symmetric), so each fit makes two such checks.
+# Each spec checks only what it was given. rca_fit reduces a LowRankPlusNoise
+# by its parts and checks the gram once; other specs build the dense Sigma,
+# and gen_eig_spd checks the gram and Sigma (finite, square, symmetric).
 
 @dataclass(frozen=True)
 class ScaledIdentity:
@@ -54,14 +55,21 @@ class LowRankPlusNoise:
     factors: np.ndarray
     variance: float | np.ndarray
 
-    def materialize(self, dim):
+    def parts(self, dim):
+        """(F, variance) as float arrays with dim rows each, all finite."""
         f, v = np.asarray(self.factors, dtype=float), np.asarray(self.variance, dtype=float)
         if f.ndim != 2 or f.shape[0] != dim or v.shape not in ((), (dim,)):
             raise ValueError(f"factors have shape {f.shape} and variance {v.shape}, "
                              f"expected {dim} rows each")
+        if not np.isfinite(f).all():
+            raise ValueError("factors contain non-finite entries")
         bad = v[~((0 <= v) & (v < np.inf))]
         if bad.size:
             raise ValueError(f"noise variance must be finite and nonnegative, got {bad[0]}")
+        return f, v
+
+    def materialize(self, dim):
+        f, v = self.parts(dim)
         return f @ f.T + v * np.eye(dim)
 
 
@@ -132,24 +140,37 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     if not 0.0 <= rank_tol < np.inf:
         raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
     gram = np.asarray(gram, dtype=float)
-    p = gram.shape[0] if gram.ndim else 0  # gen_eig_spd checks both matrices
-    sig = (sigma if hasattr(sigma, "materialize") else Explicit(sigma)).materialize(p)
-    eig = gen_eig_spd(gram, sig)
+    p = gram.shape[0] if gram.ndim else 0  # the reduction checks the gram
+    eig, trace, times = _reduce(gram, sigma if hasattr(sigma, "materialize")
+                                else Explicit(sigma), p)
     d = eig.values
     # Sylvester's inertia: d_min < 0 gives lambda_min(G) >= d_min trace(Sigma),
     # which settles semidefiniteness unless the bound is inconclusive.
     floor = -1e-8 * max(np.linalg.norm(gram), 1e-300)
-    if d[-1] < 0 and d[-1] * (np.trace(sig) + p * eig.jitter) < floor \
-            and np.linalg.eigvalsh(gram).min() < floor:
+    if d[-1] < 0 and d[-1] * trace < floor and np.linalg.eigvalsh(gram).min() < floor:
         raise ValueError("gram matrix is not positive semidefinite")
     q = int(np.sum(d > 1.0 + rank_tol))
     s_q = eig.vectors[:, :q]
-    loadings = (sig @ s_q + eig.jitter * s_q) * np.sqrt(d[:q] - 1.0)
+    loadings = times(s_q) * np.sqrt(d[:q] - 1.0)
     # At the ML solution K = X X' + Sigma has log|K| = log|Sigma| +
     # sum_{i<=q} log d_i and trace(K^{-1} G) = q + sum_{i>q} d_i.
     ll = -0.5 * n_obs * (eig.sigma_logdet + np.log(d[:q]).sum() + q + d[q:].sum()
                          + p * np.log(2.0 * np.pi))
     return RcaFit(eig=eig, q=q, loadings=loadings, log_likelihood=float(ll))
+
+
+def _reduce(gram, spec, p):
+    """(GenEig, trace(Sigma), S -> Sigma S), Sigma with any jitter. A
+    LowRankPlusNoise clear of the jitter floor, so none can fire, skips Sigma."""
+    if isinstance(spec, LowRankPlusNoise):
+        f, v = spec.parts(p)
+        trace = np.broadcast_to(v, p).sum() + np.einsum("ij,ij->", f, f)
+        if v.min() * p > JITTER_FLOOR * trace:
+            eig = gen_eig_lowrank(check_square_symmetric(gram, "gram"), f, v)
+            return eig, trace, lambda s: np.reshape(v, (-1, 1)) * s + f @ (f.T @ s)
+    sig = spec.materialize(p)
+    eig = gen_eig_spd(gram, sig)
+    return eig, np.trace(sig) + p * eig.jitter, lambda s: sig @ s + eig.jitter * s
 
 
 def log_marginal(y, x, sigma):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .cca import _center_views
 from .core import LowRankPlusNoise, _block_diag, log_marginal, rca_fit
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
@@ -146,13 +147,10 @@ def predict_view1(model, y2, mode="paper"):
     mode="exact" is the full Gaussian conditional, whose inverted block also
     carries V2 V2'. y2 may be one vector or a matrix of rows.
     """
-    y2 = np.asarray(y2, dtype=float)
-    single = y2.ndim == 1
-    rows = y2[None, :] if single else y2
+    single = np.ndim(y2) == 1
+    rows = as_matrix(np.reshape(y2, (1, -1)) if single else y2, "y2")
     if rows.shape[1] != model.mu2.size:
         raise ValueError(f"y2 has {rows.shape[1]} features, expected {model.mu2.size}")
-    if not np.isfinite(rows).all():
-        raise ValueError("y2 contains non-finite entries")
 
     if mode not in ("paper", "exact"):
         raise ValueError(f"unknown prediction mode: {mode!r}")

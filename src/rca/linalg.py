@@ -1,9 +1,9 @@
-"""The dense symmetric-definite generalized eigensolver.
+"""The symmetric-definite generalized eigensolver.
 
-The generalized solver reduces ``A S = Sigma S D`` to one standard symmetric
-eigenproblem by the Cholesky route (Golub & Van Loan, Matrix Computations,
-8.7): Sigma = L L', C = L^{-1} A L^{-T} = V D V', S = L^{-T} V. The factor
-also gives the log|Sigma| that the closed-form likelihood needs.
+Each route reduces ``A S = Sigma S D`` to one symmetric eigenproblem C = T A T'
+= V D V', S = T' V with T Sigma T' = I, which also gives log|Sigma|. A dense
+Sigma = L L' takes T = L^{-1} (Golub & Van Loan, Matrix Computations, 8.7); a
+diagonal-plus-low-rank Sigma = D + F F' is never formed (gen_eig_lowrank).
 """
 
 from dataclasses import dataclass
@@ -44,15 +44,6 @@ def check_square_symmetric(a, name="matrix", rtol=SYMMETRY_RTOL):
     return a
 
 
-def _fix_signs(vectors):
-    # Deterministic sign convention: the entry of largest magnitude in each
-    # column is made positive (first such entry on ties).
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
-
-
 @dataclass(frozen=True)
 class GenEig:
     """Solution of the symmetric-definite problem A S = Sigma S diag(values).
@@ -69,18 +60,15 @@ class GenEig:
 
 
 def _whitener(sigma):
-    """(T, log|sigma_eff|, jitter) with T sigma_eff T' = I, where sigma_eff
-    is sigma plus jitter times the identity: the one place a covariance is
-    factored and the jitter policy applied. sigma must already be checked
-    square and symmetric.
-
-    T is L^{-1} when 1 / ||L^{-1}||_F^2 = 1 / trace(sigma^{-1}), a lower
-    bound on the smallest eigenvalue, clears the jitter floor. Otherwise one
-    eigh of sigma decides: jitter is JITTER_SCALE * trace/dim if the
-    smallest eigenvalue sits at or below the floor (sigma + jitter I has the
-    same eigenvectors, so it shifts the spectrum), else 0, and
-    T = Lambda^{-1/2} U'. Raises NotPositiveDefiniteError, naming the
-    offending eigenvalue, if jitter does not rescue sigma.
+    """(T, log|sigma_eff|, jitter) with T sigma_eff T' = I, sigma_eff being
+    sigma plus jitter times the identity: the one place a dense covariance
+    is factored and the jitter policy applied. sigma must be checked square
+    and symmetric. T is L^{-1} when 1 / ||L^{-1}||_F^2 = 1 / trace(sigma^{-1}),
+    a lower bound on the smallest eigenvalue, clears the jitter floor.
+    Otherwise one eigh of sigma decides: jitter is JITTER_SCALE * trace/dim
+    if the smallest eigenvalue sits at or below the floor, else 0 (sigma +
+    jitter I shares sigma's eigenvectors), and T = Lambda^{-1/2} U'. Raises
+    NotPositiveDefiniteError, naming the eigenvalue, if jitter fails to help.
     """
     scale = np.trace(sigma) / sigma.shape[0]
     try:
@@ -100,15 +88,23 @@ def _whitener(sigma):
     return vectors.T / np.sqrt(values)[:, None], float(np.log(values).sum()), jitter
 
 
+def _eig_tail(reduced, back, logdet, jitter):
+    """The eigensolve ending every route: S = back(V), sorted descending, each
+    column signed so its largest-magnitude entry (first on ties) is positive."""
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    s = back(vectors)[:, ::-1]
+    signs = np.sign(s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])])
+    return GenEig(values[::-1], s * np.where(signs == 0, 1.0, signs), logdet, jitter)
+
+
 def gen_eig_spd(a, sigma):
     """All eigenpairs of the symmetric-definite problem A S = Sigma S D.
 
     a (the gram) and sigma are (n, n) symmetric; sigma must be positive
     definite after the jitter policy, which _whitener applies. Returns
-    GenEig with the spectrum sorted descending and S' Sigma S = I. One
-    reduction, one eigensolve: Sigma = v I exactly gives C = A / v,
-    S = V / sqrt(v); any other Sigma gives C = T A T', S = T' V with
-    T = L^{-1} (see _whitener).
+    GenEig with the spectrum sorted descending and S' Sigma S = I. Sigma =
+    v I exactly takes gen_eig_lowrank (C = A / v, S = V / sqrt(v)); any
+    other Sigma gives T = L^{-1} (see _whitener).
     """
     a = check_square_symmetric(a, "gram")
     sigma = check_square_symmetric(sigma, "sigma")
@@ -116,11 +112,26 @@ def gen_eig_spd(a, sigma):
         raise ValueError(f"dimension mismatch: gram is {a.shape}, sigma is {sigma.shape}")
     dim, v = a.shape[0], sigma[0, 0]
     if v > 0 and np.count_nonzero(sigma) == dim and (np.diagonal(sigma) == v).all():
-        t, logdet, jitter = 1.0 / np.sqrt(v), dim * float(np.log(v)), 0.0
-        reduced = a / v
-    else:
-        t, logdet, jitter = _whitener(sigma)
-        reduced = t @ a @ t.T
-    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    s = vectors * t if np.ndim(t) == 0 else t.T @ vectors
-    return GenEig(values[::-1], _fix_signs(s[:, ::-1]), logdet, jitter)
+        return gen_eig_lowrank(a, np.zeros((dim, 0)), v)
+    t, logdet, jitter = _whitener(sigma)
+    return _eig_tail(t @ a @ t.T, lambda w: t.T @ w, logdet, jitter)
+
+
+def gen_eig_lowrank(a, factors, variance):
+    """gen_eig_spd, for a checked gram, of Sigma = D + F F' with D = diag(variance)
+    (a positive scalar or p-vector d) and finite F (p x k, k >= 0), never formed:
+    with D^{-1/2} F = U s W' (thin SVD) and c = (1 + s^2)^{-1/2} - 1,
+    T = (I + U c U') D^{-1/2} whitens Sigma at O(p^2 k), and log|Sigma| =
+    sum log d + sum log(1 + s^2). No jitter, as Sigma >= min(d) I."""
+    v = np.asarray(variance, dtype=float)
+    r = 1.0 / np.sqrt(v if v.ndim == 0 else v[:, None])  # D^{-1/2}, scalar or column
+    b = a / v if v.ndim == 0 else r * a * r.T  # D^{-1/2} A D^{-1/2}
+    logdet = a.shape[0] * float(np.log(v)) if v.ndim == 0 else float(np.log(v).sum())
+    if factors.shape[1] == 0:
+        return _eig_tail(b, lambda w: w * r, logdet, 0.0)
+    u, s, _ = np.linalg.svd(r * factors, full_matrices=False)
+    x = u * (1.0 / np.sqrt(1.0 + s * s) - 1.0)
+    m = u.T @ b
+    h = x @ (m + 0.5 * (m @ u) @ x.T)  # C = B + h + h'
+    return _eig_tail(b + h + h.T, lambda w: r * (w + x @ (u.T @ w)),
+                     logdet + float(np.log1p(s * s).sum()), 0.0)

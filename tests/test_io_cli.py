@@ -545,6 +545,18 @@ def test_a_non_finite_variance_is_named(tmp_path, capsys, kind, value):
     assert {f.name: f.read_bytes() for f in (tmp_path / "out").iterdir()} == before
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_lowrank_factors_are_named(tmp_path, capsys, value):
+    gram, factors = tmp_path / "g.csv", tmp_path / "f.csv"
+    save_csv(gram, 2 * np.eye(3))
+    factors.write_text(f"1,0\n0,{value}\n1,1\n")
+    out = tmp_path / "out"
+    assert run_cli("rca", "--gram", str(gram), "--sigma", f"lowrank:{factors}:0.5",
+                   "-o", str(out)) == 1
+    assert "ValueError: factors contain non-finite entries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diffexpr_names_an_infinite_noise_variance(tmp_path, capsys):
     syn = tmp_path / "syn"
     assert run_cli("synth-diffexpr", "--seed", "1", "--genes", "30",

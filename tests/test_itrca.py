@@ -130,6 +130,16 @@ def test_two_view_fits_share_one_row_count_check(fit):
         calls[fit]()
 
 
+@pytest.mark.parametrize("view", ["y1", "y2"])
+def test_joint_log_marginal_names_a_column_count_mismatch(view):
+    y1, y2, _ = make_shared_private(1, n=50)
+    model = iterative_rca(y1, y2, alpha=0.2, max_iter=1)
+    short = {"y1": (y1[:, :-1], y2), "y2": (y1, y2[:, :-1])}[view]
+    d = {"y1": y1, "y2": y2}[view].shape[1]
+    with pytest.raises(ValueError, match=rf"^{view} has {d - 1} columns but {d} means$"):
+        joint_log_marginal(model, *short)
+
+
 def test_failed_solve_names_its_block(monkeypatch):
     import rca.itrca
     y1, y2, _ = make_shared_private(1, n=50)
@@ -220,6 +230,14 @@ def test_predict_rejects_bad_input():
         predict_view1(model, np.zeros(model.mu2.size + 1))
     with pytest.raises(ValueError, match="mode"):
         predict_view1(model, model.mu2, mode="bogus")
+    for empty in (np.zeros((0, model.mu2.size)), np.zeros(0)):
+        with pytest.raises(ValueError, match="y2 must be 2-D with at least one row"):
+            predict_view1(model, empty)
+    bad = y2[:3].copy()
+    bad[1, 2] = np.nan
+    for rows in (bad, bad[1]):
+        with pytest.raises(ValueError, match="y2 contains non-finite entries"):
+            predict_view1(model, rows)
 
 
 # ---------------------------------------------------------------- rms_error

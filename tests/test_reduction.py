@@ -97,6 +97,73 @@ def test_low_rank_plus_noise_matches_explicit(seed, rank, per_row):
                     rca_fit(gram, Explicit(dense), n_obs=N_OBS))
 
 
+def low_rank_and_dense(factors, variance):
+    dense = factors @ factors.T + np.diag(np.broadcast_to(variance, factors.shape[0]))
+    return LowRankPlusNoise(factors, variance), Explicit(dense), dense
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", ["more_factors_than_rows", "duplicate_columns"])
+def test_low_rank_reduction_matches_explicit_at_the_edges(seed, kind):
+    # k >= p gives a square U; repeated columns give zero singular values
+    rng = np.random.default_rng(250 + seed)
+    if kind == "more_factors_than_rows":
+        factors = rng.standard_normal((P, P + 3))
+    else:
+        base = rng.standard_normal((P, 3))
+        factors = np.hstack([base, base[:, :2]])
+    spec, explicit, dense = low_rank_and_dense(factors, rng.uniform(0.2, 2.0, P))
+    gram = planted_gram(rng, dense)
+    assert_same_fit(rca_fit(gram, spec, n_obs=N_OBS), rca_fit(gram, explicit, n_obs=N_OBS))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("zero_row,jittered", [(False, False), (True, True)])
+def test_low_rank_variance_at_the_jitter_floor_takes_the_dense_route(
+        lapack_calls, seed, zero_row, jittered):
+    # one variance under the floor: the spec is reduced densely, so the
+    # jitter decision is the dense one. With its factor row zeroed Sigma is
+    # near-singular and jittered; otherwise the factors keep it clear.
+    rng = np.random.default_rng(260 + seed)
+    factors = rng.standard_normal((P, 3))
+    variance = rng.uniform(0.2, 2.0, P)
+    variance[5] = 0.1 * JITTER_FLOOR * variance.mean()
+    if zero_row:
+        factors[5] = 0.0
+    spec, explicit, dense = low_rank_and_dense(factors, variance)
+    gram = planted_gram(rng, dense + np.eye(P))
+    lapack_calls.clear()
+    fit = rca_fit(gram, spec, n_obs=N_OBS)
+    assert "svd" not in lapack_calls
+    ref = rca_fit(gram, explicit, n_obs=N_OBS)
+    assert (fit.eig.jitter > 0) == jittered
+    assert fit.eig.jitter == ref.eig.jitter and fit.q == ref.q
+    assert_same_fit(fit, ref)
+
+
+def test_low_rank_reduction_at_p200_is_sigma_orthonormal():
+    rng = np.random.default_rng(270)
+    p = 200
+    spec, explicit, dense = low_rank_and_dense(rng.standard_normal((p, 4)),
+                                               rng.uniform(0.2, 2.0, p))
+    w = 2.0 * rng.standard_normal((p, 3))
+    gram = dense + w @ w.T
+    fit = rca_fit(gram, spec, n_obs=N_OBS)
+    s, d = fit.eig.vectors, fit.eig.values
+    assert np.linalg.norm(s.T @ dense @ s - np.eye(p)) <= 1e-11
+    assert np.linalg.norm(gram @ s - dense @ s * d) <= 1e-12 * np.linalg.norm(gram)
+    assert fit.q == 3
+    assert_same_fit(fit, rca_fit(gram, explicit, n_obs=N_OBS))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_factors_are_named(bad):
+    factors = np.ones((P, 2))
+    factors[3, 1] = bad
+    with pytest.raises(ValueError, match="factors contain non-finite entries"):
+        rca_fit(np.eye(P), LowRankPlusNoise(factors, 0.5))
+
+
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("c", [1e-3, 0.5, 3.0, 1e4])
 def test_joint_scaling_shifts_only_the_likelihood(seed, c):
@@ -253,15 +320,31 @@ def dense_specs(rng):
 
 @pytest.mark.parametrize("kind", ["explicit", "blocks", "lowrank"])
 def test_dense_fit_factors_once_and_solves_once(lapack_calls, kind):
+    # a dense Sigma is factored once; a diagonal-plus-low-rank one is never
+    # formed, and one thin p x k SVD of its factors takes the factor's place
     rng = np.random.default_rng(900)
     spec = dense_specs(rng)[kind]
     gram = planted_gram(rng, np.eye(P))
     lapack_calls.clear()
     rca_fit(gram, spec)
+    if kind == "lowrank":
+        assert lapack_calls == Counter(eigh=1, svd=1)
+        return
     assert lapack_calls["eigh"] == 1
     assert lapack_calls["cholesky"] <= 1 and lapack_calls["inv"] <= 1
     assert sum(lapack_calls.values()) == (lapack_calls["eigh"] + lapack_calls["cholesky"]
                                           + lapack_calls["inv"])
+
+
+def test_low_rank_fit_builds_no_dense_sigma(monkeypatch):
+    def forbidden(self, dim):
+        raise AssertionError("dense Sigma built")
+
+    rng = np.random.default_rng(907)
+    spec = LowRankPlusNoise(rng.standard_normal((P, 3)), rng.uniform(0.2, 2.0, P))
+    gram = planted_gram(rng, np.eye(P))
+    monkeypatch.setattr(LowRankPlusNoise, "materialize", forbidden)
+    assert rca_fit(gram, spec).eig.jitter == 0.0
 
 
 @pytest.mark.parametrize("kind", ["near_singular", "rank_deficient"])
@@ -326,11 +409,14 @@ def test_iterative_rca_budget_does_not_grow_with_n(lapack_calls):
         per_n.append(Counter(lapack_calls))
     assert per_n[0] == per_n[1]
     calls = per_n[0]
-    assert set(calls) <= {"eigh", "cholesky", "inv"}
-    # per pass: three fits, one eigensolve each and at most one factor and
-    # one inverse each; the pass likelihood comes from the shared fit
+    assert set(calls) <= {"eigh", "svd"}
+    # per pass: three fits, one eigensolve each and at most one thin SVD of
+    # the factors each (none while a private block has no shared factors);
+    # every Sigma is diagonal plus low rank, so nothing is Cholesky-factored
+    # or inverted, and the pass likelihood comes from the shared fit
     assert calls["eigh"] == 3 * passes
-    assert calls["cholesky"] <= 3 * passes and calls["inv"] <= 3 * passes
+    assert calls["svd"] <= 3 * passes
+    assert calls["cholesky"] == calls["inv"] == 0
 
 
 # ---------------------------------------------------------------- validation budget
@@ -361,13 +447,15 @@ def symmetry_checks(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["explicit", "identity", "lowrank", "blocks"])
 def test_each_fit_checks_gram_and_sigma_once(symmetry_checks, kind):
-    # gen_eig_spd checks the gram and the dense Sigma; the specs check shapes
+    # gen_eig_spd checks the gram and the dense Sigma; the specs check shapes.
+    # A low-rank spec has no square Sigma: it checks its factors and
+    # variances itself, so only the gram gets a symmetry check.
     rng = np.random.default_rng(903)
     specs = dict(dense_specs(rng), identity=ScaledIdentity(0.8))
     gram = planted_gram(rng, np.eye(P))
     symmetry_checks[0] = 0
     rca_fit(gram, specs[kind])
-    assert symmetry_checks[0] == 2
+    assert symmetry_checks[0] == (1 if kind == "lowrank" else 2)
 
 
 def test_fit_wrappers_check_gram_and_sigma_once(symmetry_checks):
