@@ -19,6 +19,9 @@ from .linalg import (JITTER_FLOOR, GenEig, _whitener, as_matrix, check_square_sy
 
 # Eigenvalues within RANK_TOL above 1 are treated as noise and dropped.
 RANK_TOL = 1e-10
+# A LowRankPlusNoise with ||D^{-1/2} F||_F^2 above this is reduced densely: its
+# thin-SVD loadings would lose digits that the Cholesky route keeps.
+LOW_RANK_LIMIT = 1e5
 
 
 # ------------------------------------------------------------------ covariance specs
@@ -160,12 +163,13 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
 
 
 def _reduce(gram, spec, p):
-    """(GenEig, trace(Sigma), S -> Sigma S), Sigma with any jitter. A
-    LowRankPlusNoise clear of the jitter floor, so none can fire, skips Sigma."""
+    """(GenEig, trace(Sigma), S -> Sigma S), Sigma with any jitter. A LowRankPlusNoise
+    clear of the jitter floor (so none can fire) and of LOW_RANK_LIMIT skips Sigma."""
     if isinstance(spec, LowRankPlusNoise):
         f, v = spec.parts(p)
-        trace = np.broadcast_to(v, p).sum() + np.einsum("ij,ij->", f, f)
-        if v.min() * p > JITTER_FLOOR * trace:
+        rows = np.einsum("ij,ij->i", f, f)  # squared row norms of F
+        trace = np.sum(v + rows)
+        if v.min() * p > JITTER_FLOOR * trace and np.sum(rows / v) <= LOW_RANK_LIMIT:
             eig = gen_eig_lowrank(check_square_symmetric(gram, "gram"), f, v)
             return eig, trace, lambda s: np.reshape(v, (-1, 1)) * s + f @ (f.T @ s)
     sig = spec.materialize(p)

@@ -120,18 +120,22 @@ def gen_eig_spd(a, sigma):
 def gen_eig_lowrank(a, factors, variance):
     """gen_eig_spd, for a checked gram, of Sigma = D + F F' with D = diag(variance)
     (a positive scalar or p-vector d) and finite F (p x k, k >= 0), never formed:
-    with D^{-1/2} F = U s W' (thin SVD) and c = (1 + s^2)^{-1/2} - 1,
-    T = (I + U c U') D^{-1/2} whitens Sigma at O(p^2 k), and log|Sigma| =
-    sum log d + sum log(1 + s^2). No jitter, as Sigma >= min(d) I."""
+    with D^{-1/2} F = U s W' (thin SVD) and c = (1 + s^2)^{-1/2} - 1, T = (I +
+    U c U') D^{-1/2} whitens Sigma at O(p^2 k). C = I + T (A - Sigma) T', so no
+    rounding of Sigma's own part survives T's cancellation; log|Sigma| = sum
+    log d + sum log(1 + s^2). No jitter, as Sigma >= min(d) I."""
     v = np.asarray(variance, dtype=float)
     r = 1.0 / np.sqrt(v if v.ndim == 0 else v[:, None])  # D^{-1/2}, scalar or column
     b = a / v if v.ndim == 0 else r * a * r.T  # D^{-1/2} A D^{-1/2}
     logdet = a.shape[0] * float(np.log(v)) if v.ndim == 0 else float(np.log(v).sum())
     if factors.shape[1] == 0:
         return _eig_tail(b, lambda w: w * r, logdet, 0.0)
-    u, s, _ = np.linalg.svd(r * factors, full_matrices=False)
+    g = r * factors
+    u, s, _ = np.linalg.svd(g, full_matrices=False)
     x = u * (1.0 / np.sqrt(1.0 + s * s) - 1.0)
-    m = u.T @ b
-    h = x @ (m + 0.5 * (m @ u) @ x.T)  # C = B + h + h'
-    return _eig_tail(b + h + h.T, lambda w: r * (w + x @ (u.T @ w)),
+    b -= g @ g.T  # I + E, E = D^{-1/2} (A - Sigma) D^{-1/2}
+    m = u.T @ b - u.T  # U'E
+    h = x @ (m + 0.5 * (m @ u) @ x.T)  # C = I + E + h + h'
+    b += h + h.T
+    return _eig_tail(b, lambda w: r * (w + x @ (u.T @ w)),
                      logdet + float(np.log1p(s * s).sum()), 0.0)

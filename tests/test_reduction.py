@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rca.core import (
+    LOW_RANK_LIMIT,
     BlockDiagonal,
     Explicit,
     LowRankPlusNoise,
@@ -118,18 +119,20 @@ def test_low_rank_reduction_matches_explicit_at_the_edges(seed, kind):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("zero_row,jittered", [(False, False), (True, True)])
+@pytest.mark.parametrize("floors,row_scale,jittered", [
+    (0.1, 1.0, False), (0.1, 0.0, True), (4.0, 100.0, False)])
 def test_low_rank_variance_at_the_jitter_floor_takes_the_dense_route(
-        lapack_calls, seed, zero_row, jittered):
-    # one variance under the floor: the spec is reduced densely, so the
-    # jitter decision is the dense one. With its factor row zeroed Sigma is
-    # near-singular and jittered; otherwise the factors keep it clear.
+        lapack_calls, seed, floors, row_scale, jittered):
+    # one variance at `floors` times the floor. Under it the spec is reduced
+    # densely, so the jitter decision is the dense one: with its factor row
+    # zeroed Sigma is near-singular and jittered, otherwise the factors keep
+    # it clear. Just above it, a large factor on that row puts the whitened
+    # factors far past LOW_RANK_LIMIT, which also takes the dense route.
     rng = np.random.default_rng(260 + seed)
     factors = rng.standard_normal((P, 3))
     variance = rng.uniform(0.2, 2.0, P)
-    variance[5] = 0.1 * JITTER_FLOOR * variance.mean()
-    if zero_row:
-        factors[5] = 0.0
+    factors[5] *= row_scale
+    variance[5] = floors * JITTER_FLOOR * (variance.sum() + np.sum(factors ** 2)) / P
     spec, explicit, dense = low_rank_and_dense(factors, variance)
     gram = planted_gram(rng, dense + np.eye(P))
     lapack_calls.clear()
@@ -139,6 +142,24 @@ def test_low_rank_variance_at_the_jitter_floor_takes_the_dense_route(
     assert (fit.eig.jitter > 0) == jittered
     assert fit.eig.jitter == ref.eig.jitter and fit.q == ref.q
     assert_same_fit(fit, ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fraction", [0.9, 1.1])
+def test_strong_factors_match_explicit_on_either_side_of_the_limit(
+        lapack_calls, seed, fraction):
+    # more factors than rows, far above the noise: the thin-SVD route must
+    # take Sigma's own part out of the gram before whitening, or cancellation
+    # costs the loadings digits. Past LOW_RANK_LIMIT the route is dense.
+    rng = np.random.default_rng(280 + seed)
+    factors = rng.standard_normal((P, P + 3))
+    factors *= np.sqrt(fraction * LOW_RANK_LIMIT * 0.5 / np.sum(factors ** 2))
+    spec, explicit, dense = low_rank_and_dense(factors, 0.5)
+    gram = planted_gram(rng, dense)
+    lapack_calls.clear()
+    fit = rca_fit(gram, spec, n_obs=N_OBS)
+    assert ("svd" in lapack_calls) == (fraction < 1)
+    assert_same_fit(fit, rca_fit(gram, explicit, n_obs=N_OBS))
 
 
 def test_low_rank_reduction_at_p200_is_sigma_orthonormal():
