@@ -36,23 +36,23 @@ from .kernels import ABSOLUTE, FRACTION, KernelSpec
 
 
 def parse_sigma_spec(text):
-    """Parse a covariance selector.
-
-    identity:VAR | file:PATH | lowrank:PATH:VAR | blocks:PATH[,PATH...]
-    """
+    """Parse a covariance selector of one of the `forms` below."""
     kind, _, rest = text.partition(":")
+    forms = {"identity": "identity:VAR", "file": "file:PATH",
+             "lowrank": "lowrank:PATH:VAR", "blocks": "blocks:PATH[,PATH...]"}
+    fields = {"lowrank": rest.rpartition(":")[::2],  # (PATH, VAR)
+              "blocks": rest.split(",")}.get(kind, [rest])
+    if kind not in forms or not all(fields):
+        problem = "unknown" if kind not in forms else "incomplete"
+        raise ValueError(f"{problem} covariance spec {text!r} (expected "
+                         f"{forms.get(kind, ' | '.join(forms.values()))})")
     if kind == "identity":
         return ScaledIdentity(float(rest))
     if kind == "file":
         return Explicit(load_csv(rest)[0])
     if kind == "lowrank":
-        path, _, var = rest.rpartition(":")
-        return LowRankPlusNoise(load_csv(path)[0], float(var))
-    if kind == "blocks":
-        return BlockDiagonal(tuple(load_csv(p)[0] for p in rest.split(",")))
-    raise ValueError(f"unknown covariance spec {text!r} "
-                     "(expected identity:VAR, file:PATH, lowrank:PATH:VAR "
-                     "or blocks:PATHS)")
+        return LowRankPlusNoise(load_csv(fields[0])[0], float(fields[1]))
+    return BlockDiagonal(tuple(load_csv(p)[0] for p in fields))
 
 
 def parse_times(text):

@@ -2,8 +2,9 @@
 
 Each route reduces ``A S = Sigma S D`` to one symmetric eigenproblem C = T A T'
 = V D V', S = T' V with T Sigma T' = I, which also gives log|Sigma|. A dense
-Sigma = L L' takes T = L^{-1} (Golub & Van Loan, Matrix Computations, 8.7); a
-diagonal-plus-low-rank Sigma = D + F F' is never formed (gen_eig_lowrank).
+Sigma = L L' takes T = L^{-1} (Golub & Van Loan, Matrix Computations, 8.7), by
+a batched blocked triangular inverse above LEAF rows (_tri_inv); a diagonal-
+plus-low-rank Sigma = D + F F' is never formed (gen_eig_lowrank).
 """
 
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ import numpy as np
 SYMMETRY_RTOL = 1e-10
 JITTER_FLOOR = 1e-12
 JITTER_SCALE = 1e-10
+LEAF = 32  # _tri_inv's leaf size; a factor of at most LEAF rows takes np.linalg.inv
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -59,12 +61,33 @@ class GenEig:
     jitter: float
 
 
+def _tri_inv(l):
+    """L^{-1} of a lower-triangular L, exactly zero above the diagonal: L padded
+    by I to 2^levels blocks of b <= LEAF rows, one batched inv of those, then per
+    level pairs join as [[A, 0], [B, C]]^{-1} = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
+    p = l.shape[0]
+    if p <= LEAF:
+        return np.linalg.inv(l)
+    n = 1 << (-(-p // LEAF) - 1).bit_length()
+    b = -(-p // n)
+    a, t = np.eye(n * b), np.zeros((n * b, n * b))
+    a[:p, :p] = l
+    leaves = np.einsum("ijik->ijk", t.reshape(n, b, n, b))  # writable views
+    leaves[...] = np.tril(np.linalg.inv(np.einsum("ijik->ijk", a.reshape(n, b, n, b))))
+    while n > 1:
+        n //= 2  # pair views: [:, r, :, c] is block (r, c) of each pair
+        tv, av = (np.einsum("iajibk->iajbk", x.reshape(n, 2, b, n, 2, b)) for x in (t, a))
+        tv[:, 1, :, 0] = -(tv[:, 1, :, 1] @ av[:, 1, :, 0]) @ tv[:, 0, :, 0]
+        b *= 2
+    return t[:p, :p]
+
+
 def _whitener(sigma):
     """(T, log|sigma_eff|, jitter) with T sigma_eff T' = I, sigma_eff being
     sigma plus jitter times the identity: the one place a dense covariance
     is factored and the jitter policy applied. sigma must be checked square
-    and symmetric. T is L^{-1} when 1 / ||L^{-1}||_F^2 = 1 / trace(sigma^{-1}),
-    a lower bound on the smallest eigenvalue, clears the jitter floor.
+    and symmetric. T is L^{-1} (_tri_inv, blocked above LEAF rows) when 1 /
+    ||L^{-1}||_F^2 = 1 / trace(sigma^{-1}) <= lambda_min clears the floor.
     Otherwise one eigh of sigma decides: jitter is JITTER_SCALE * trace/dim
     if the smallest eigenvalue sits at or below the floor, else 0 (sigma +
     jitter I shares sigma's eigenvectors), and T = Lambda^{-1/2} U'. Raises
@@ -73,7 +96,8 @@ def _whitener(sigma):
     scale = np.trace(sigma) / sigma.shape[0]
     try:
         chol = np.linalg.cholesky(sigma)
-        t = np.linalg.inv(chol)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan T fails the bound
+            t = _tri_inv(chol)
         if 1.0 / np.einsum("ij,ij->", t, t) > JITTER_FLOOR * scale:
             return t, 2.0 * float(np.log(np.diag(chol)).sum()), 0.0
     except np.linalg.LinAlgError:

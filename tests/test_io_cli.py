@@ -557,6 +557,24 @@ def test_non_finite_lowrank_factors_are_named(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, form", [("lowrank:{f}", "lowrank:PATH:VAR"),
+                                        ("lowrank:{f}:", "lowrank:PATH:VAR"),
+                                        ("file:", "file:PATH"),
+                                        ("blocks:", "blocks:PATH[,PATH...]"),
+                                        ("blocks:{f},", "blocks:PATH[,PATH...]"),
+                                        ("identity:", "identity:VAR")])
+def test_an_empty_sigma_field_names_the_expected_form(tmp_path, capsys, spec, form):
+    gram, factors = tmp_path / "g.csv", tmp_path / "f.csv"
+    save_csv(gram, 2 * np.eye(3))
+    save_csv(factors, np.eye(3))
+    out = tmp_path / "out"
+    assert run_cli("rca", "--gram", str(gram), "--sigma", spec.format(f=factors),
+                   "-o", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "ValueError: incomplete covariance spec" in err and f"(expected {form})" in err
+    assert not out.exists()
+
+
 def test_diffexpr_names_an_infinite_noise_variance(tmp_path, capsys):
     syn = tmp_path / "syn"
     assert run_cli("synth-diffexpr", "--seed", "1", "--genes", "30",

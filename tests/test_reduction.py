@@ -3,6 +3,7 @@ covariance specs against their dense forms, joint scaling, the likelihood
 against a direct evaluation, and the jitter and semidefiniteness rules at
 their thresholds."""
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -13,15 +14,16 @@ from rca.core import (
     BlockDiagonal,
     Explicit,
     LowRankPlusNoise,
+    RANK_TOL,
     ScaledIdentity,
     log_marginal,
     ppca_fit,
     rca_fit,
 )
-from rca.cca import cca_fit
+from rca.cca import CORR_TOL, cca_fit
 from rca.itrca import iterative_rca
 from rca.synth import make_shared_private
-from rca.linalg import JITTER_FLOOR, JITTER_SCALE, NotPositiveDefiniteError
+from rca.linalg import JITTER_FLOOR, JITTER_SCALE, LEAF, NotPositiveDefiniteError, _tri_inv
 
 P = 12
 N_OBS = 50
@@ -233,10 +235,10 @@ def jittered_reference(sigma):
     return sigma + JITTER_SCALE * scale * np.eye(sigma.shape[0])
 
 
-def near_singular_sigma(rng, factor):
+def near_singular_sigma(rng, factor, p=P):
     """Sigma whose smallest eigenvalue is `factor` times the jitter floor."""
-    bulk = np.linspace(1.0, 4.0, P - 1)
-    floor = JITTER_FLOOR * bulk.sum() / P
+    bulk = np.linspace(1.0, 4.0, p - 1)
+    floor = JITTER_FLOOR * bulk.sum() / p
     return with_spectrum(rng, np.append(bulk, factor * floor))
 
 
@@ -331,26 +333,37 @@ def lapack_calls(monkeypatch):
     return counts
 
 
-def dense_specs(rng):
-    b1, b2 = random_spd(rng, 7), random_spd(rng, 5)
-    factors = rng.standard_normal((P, 3))
-    return {"explicit": Explicit(random_spd(rng, P)),
+def dense_specs(rng, p=P):
+    b1, b2 = random_spd(rng, p - 5 * p // 12), random_spd(rng, 5 * p // 12)
+    factors = rng.standard_normal((p, 3))
+    return {"explicit": Explicit(random_spd(rng, p)),
             "blocks": BlockDiagonal((b1, b2)),
             "lowrank": LowRankPlusNoise(factors, 0.7)}
 
 
-@pytest.mark.parametrize("kind", ["explicit", "blocks", "lowrank"])
-def test_dense_fit_factors_once_and_solves_once(lapack_calls, kind):
+# Each budget is also checked at p = ABOVE_LEAF, where L^{-1} is the blocked
+# inverse: its batched leaf inverse must count as the one inv.
+ABOVE_LEAF = 100
+
+
+@pytest.mark.parametrize("kind,p", [
+    pytest.param("explicit", P, id="explicit"), pytest.param("blocks", P, id="blocks"),
+    pytest.param("lowrank", P, id="lowrank"),
+    pytest.param("explicit", ABOVE_LEAF, id="explicit-p100"),
+    pytest.param("blocks", ABOVE_LEAF, id="blocks-p100")])
+def test_dense_fit_factors_once_and_solves_once(lapack_calls, kind, p):
     # a dense Sigma is factored once; a diagonal-plus-low-rank one is never
     # formed, and one thin p x k SVD of its factors takes the factor's place
     rng = np.random.default_rng(900)
-    spec = dense_specs(rng)[kind]
-    gram = planted_gram(rng, np.eye(P))
+    spec = dense_specs(rng, p)[kind]
+    gram = planted_gram(rng, np.eye(p))
     lapack_calls.clear()
     rca_fit(gram, spec)
     if kind == "lowrank":
         assert lapack_calls == Counter(eigh=1, svd=1)
         return
+    if p > LEAF:
+        assert lapack_calls == Counter(eigh=1, cholesky=1, inv=1)
     assert lapack_calls["eigh"] == 1
     assert lapack_calls["cholesky"] <= 1 and lapack_calls["inv"] <= 1
     assert sum(lapack_calls.values()) == (lapack_calls["eigh"] + lapack_calls["cholesky"]
@@ -368,20 +381,25 @@ def test_low_rank_fit_builds_no_dense_sigma(monkeypatch):
     assert rca_fit(gram, spec).eig.jitter == 0.0
 
 
-@pytest.mark.parametrize("kind", ["near_singular", "rank_deficient"])
-def test_jittered_fit_is_two_eigensolves(lapack_calls, kind):
+@pytest.mark.parametrize("kind,p", [
+    pytest.param("near_singular", P, id="near_singular"),
+    pytest.param("rank_deficient", P, id="rank_deficient"),
+    pytest.param("near_singular", ABOVE_LEAF, id="near_singular-p100"),
+    pytest.param("rank_deficient", ABOVE_LEAF, id="rank_deficient-p100")])
+def test_jittered_fit_is_two_eigensolves(lapack_calls, kind, p):
     # one eigh of Sigma both decides the jitter and whitens, since Sigma + cI
     # has Sigma's eigenvectors; the other is the reduced problem's
     rng = np.random.default_rng(905)
     if kind == "near_singular":
-        sigma = near_singular_sigma(rng, 0.5)
+        sigma = near_singular_sigma(rng, 0.5, p)
     else:
-        f = rng.standard_normal((P, P - 2))
+        f = rng.standard_normal((p, p - 2))
         sigma = f @ f.T
-    gram = planted_gram(rng, sigma + np.eye(P))
+    gram = planted_gram(rng, sigma + np.eye(p))
     lapack_calls.clear()
     fit = rca_fit(gram, Explicit(sigma))
     assert fit.eig.jitter > 0
+    assert fit.eig.jitter == JITTER_SCALE * (np.trace(sigma) / p)
     assert lapack_calls["eigh"] == 2
     assert set(lapack_calls) <= {"eigh", "cholesky", "inv"}
 
@@ -389,6 +407,15 @@ def test_jittered_fit_is_two_eigensolves(lapack_calls, kind):
 def test_log_marginal_is_one_factor_and_one_inverse(lapack_calls):
     rng = np.random.default_rng(906)
     y, x, sigma = rng.standard_normal((P, 30)), rng.standard_normal((P, 2)), random_spd(rng, P)
+    lapack_calls.clear()
+    log_marginal(y, x, sigma)
+    assert lapack_calls == Counter(cholesky=1, inv=1)
+
+
+def test_log_marginal_is_one_factor_and_one_inverse_above_leaf(lapack_calls):
+    p = ABOVE_LEAF
+    rng = np.random.default_rng(906)
+    y, x, sigma = rng.standard_normal((p, 30)), rng.standard_normal((p, 2)), random_spd(rng, p)
     lapack_calls.clear()
     log_marginal(y, x, sigma)
     assert lapack_calls == Counter(cholesky=1, inv=1)
@@ -417,6 +444,16 @@ def test_cca_fit_budget(lapack_calls):
     assert lapack_calls["eigh"] == 1
     assert set(lapack_calls) <= {"eigh", "cholesky", "inv"}
     assert lapack_calls["cholesky"] <= 1 and lapack_calls["inv"] <= 1
+
+
+def test_cca_fit_budget_above_leaf(lapack_calls):
+    rng = np.random.default_rng(902)
+    z = rng.standard_normal((400, 2))
+    y1 = z @ rng.standard_normal((2, 60)) + rng.standard_normal((400, 60))
+    y2 = z @ rng.standard_normal((2, 40)) + rng.standard_normal((400, 40))
+    lapack_calls.clear()
+    cca_fit(y1, y2)
+    assert lapack_calls == Counter(eigh=1, cholesky=1, inv=1)
 
 
 def test_iterative_rca_budget_does_not_grow_with_n(lapack_calls):
@@ -489,3 +526,93 @@ def test_fit_wrappers_check_gram_and_sigma_once(symmetry_checks):
         symmetry_checks[0] = 0
         fit()
         assert symmetry_checks[0] == 2
+
+
+# ---------------------------------------------------------------- blocked triangular inverse
+
+# Above LEAF and padded: 33 -> 2 x 17, 100 -> 4 x 25, 257 -> 16 x 17.
+BLOCKED_SIZES = (33, 100, 257)
+
+
+def graded_spd(rng, p):
+    """SPD with row scales over four decades: its Cholesky factor has
+    subdiagonal entries larger than the diagonal, so LU pivots in the leaves."""
+    d = np.logspace(0, 2, p)[rng.permutation(p)]
+    return d[:, None] * random_spd(rng, p, shift=0.1) * d
+
+
+@pytest.mark.parametrize("p", BLOCKED_SIZES)
+@pytest.mark.parametrize("kind", ["random", "graded"])
+def test_blocked_inverse_is_the_lower_triangular_inverse(p, kind):
+    rng = np.random.default_rng(p)
+    sigma = random_spd(rng, p, shift=0.1) if kind == "random" else graded_spd(rng, p)
+    chol = np.linalg.cholesky(sigma)
+    t = _tri_inv(chol)
+    assert p > LEAF and t.shape == (p, p)
+    assert not np.triu(t, 1).any()
+    assert np.linalg.norm(t @ chol - np.eye(p)) <= 1e-12
+    ref = np.linalg.inv(chol)
+    assert np.linalg.norm(t - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_an_overflowing_blocked_inverse_takes_the_fallback_silently():
+    # L^{-1} reaches 1e4^99, so the blocked joins overflow; the bound
+    # 1 / ||T||_F^2 then reads 0 and the fit jitters, with no RuntimeWarning
+    p = ABOVE_LEAF
+    chol = np.eye(p) - 1e4 * np.eye(p, k=-1)
+    sigma = chol @ chol.T
+    gram = planted_gram(np.random.default_rng(930), sigma + np.eye(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = rca_fit(gram, Explicit(sigma))
+    assert fit.eig.jitter == JITTER_SCALE * (np.trace(sigma) / p)
+
+
+def assert_matches_cholesky_solve(fit, gram, sigma, rank_tol):
+    """fit against G S = Sigma S D solved by np.linalg.solve on L = chol(Sigma):
+    generalized residual, Sigma-orthonormality, spectrum, q and X X'."""
+    s, d = fit.eig.vectors, fit.eig.values
+    scale = np.linalg.norm(gram) * np.linalg.norm(s)
+    assert np.linalg.norm(gram @ s - sigma @ s * d) <= 1e-12 * scale
+    assert np.linalg.norm(s.T @ sigma @ s - np.eye(len(d))) <= 1e-12 * len(d)
+    chol = np.linalg.cholesky(sigma)
+    reduced = np.linalg.solve(chol, np.linalg.solve(chol, gram).T)
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    values, s_ref = values[::-1], np.linalg.solve(chol.T, vectors[:, ::-1])
+    np.testing.assert_allclose(d, values, rtol=0, atol=1e-12 * np.abs(values).max())
+    q = int(np.sum(values > 1.0 + rank_tol))
+    assert fit.q == q
+    x_ref = sigma @ s_ref[:, :q] * np.sqrt(values[:q] - 1.0)
+    xxt_ref = x_ref @ x_ref.T
+    assert np.linalg.norm(fit.loadings @ fit.loadings.T - xxt_ref) <= 1e-11 * np.linalg.norm(xxt_ref)
+
+
+@pytest.mark.parametrize("p", BLOCKED_SIZES)
+@pytest.mark.parametrize("kind", ["explicit", "blocks"])
+def test_blocked_fit_matches_a_cholesky_solve(p, kind):
+    rng = np.random.default_rng(910 + p)
+    sigma = random_spd(rng, p)
+    if kind == "blocks":
+        half = p // 2
+        sigma[:half, half:] = sigma[half:, :half] = 0.0
+        spec = BlockDiagonal((sigma[:half, :half], sigma[half:, half:]))
+    else:
+        spec = Explicit(sigma)
+    gram = planted_gram(rng, sigma)
+    fit = rca_fit(gram, spec, n_obs=N_OBS)
+    assert fit.eig.jitter == 0.0
+    assert_matches_cholesky_solve(fit, gram, sigma, RANK_TOL)
+
+
+@pytest.mark.parametrize("p", BLOCKED_SIZES)
+def test_blocked_cca_fit_matches_a_cholesky_solve(p):
+    rng = np.random.default_rng(920 + p)
+    n, d1 = 4 * p, p // 2
+    z = rng.standard_normal((n, 3))
+    y = z @ rng.standard_normal((3, p)) + rng.standard_normal((n, p))
+    fit = cca_fit(y[:, :d1], y[:, d1:])
+    yc = y - y.mean(axis=0)
+    c = yc.T @ yc / n
+    sigma = c.copy()
+    sigma[:d1, d1:] = sigma[d1:, :d1] = 0.0
+    assert_matches_cholesky_solve(fit.fit, c, sigma, CORR_TOL)
