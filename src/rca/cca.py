@@ -56,8 +56,13 @@ def cca_fit(y1, y2):
     above 1 by roundoff are clamped and flagged on the result.
     """
     joint, mu1, _ = _center_views(y1, y2)
-    n, d1 = joint.shape[0], mu1.size
-    c = joint.T @ joint / n
+    n = joint.shape[0]
+    return _cca_of_covariance(joint.T @ joint / n, mu1.size, n)
+
+
+def _cca_of_covariance(c, d1, n):
+    """cca_fit's solve, from the joint 1/n covariance c of n rows whose
+    first d1 columns are view 1."""
     c11, c22 = c[:d1, :d1], c[d1:, d1:]
     fit = rca_fit(c, BlockDiagonal((c11, c22)), n_obs=n, rank_tol=CORR_TOL)
 

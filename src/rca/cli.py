@@ -163,7 +163,7 @@ def cmd_itrca(args):
         "alpha": model.alpha, "sigma1_sq": model.sigma1_sq,
         "sigma2_sq": model.sigma2_sq,
         "d1": model.mu1.size, "d2": model.mu2.size,
-        "q1": q1, "q2": q2, "q_shared": qs,
+        "q1": q1, "q2": q2, "q_shared": qs, "q_start": model.start_rank,
         "converged": model.converged, "n_iter": model.n_iter,
         "log_likelihood": float(model.history[-1]),
     }

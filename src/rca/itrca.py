@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import _center_views
+from .cca import _cca_of_covariance, _center_views
 from .core import LowRankPlusNoise, _block_diag, log_marginal, rca_fit
 from .linalg import as_matrix
 
@@ -23,8 +23,8 @@ class SharedPrivateModel:
 
     w1/w2 are private loadings, v1/v2 the shared block split by view;
     history holds the joint log-marginal likelihood after each pass (the
-    shared solve's closed form) and rank_history the (q_shared, q1, q2)
-    selected on that pass.
+    shared solve's closed form), rank_history the (q_shared, q1, q2)
+    selected on that pass and start_rank the shared columns of the start.
     """
     w1: np.ndarray
     w2: np.ndarray
@@ -39,6 +39,7 @@ class SharedPrivateModel:
     converged: bool
     n_iter: int
     rank_history: tuple = ()
+    start_rank: int = 0
 
     @property
     def ranks(self):
@@ -62,7 +63,12 @@ def _views_spec(w1, w2, sigma1_sq, sigma2_sq, *shared):
 def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     """Fit the shared/private model by alternating residual-component solves.
 
-    Per pass: (a) each view's private loadings solve the view covariance
+    The shared loadings start at the probabilistic-CCA solution
+    V_i = C_ii S_i P^{1/2} (Bach & Jordan 2005) of the canonical
+    correlations above the Wachter edge of pure noise, sqrt(g1 (1 - g2)) +
+    sqrt(g2 (1 - g1)) with g_i = d_i / n (Johnstone, Ann. Statist. 36(6),
+    2008); V starts empty if g1 + g2 >= 1 or none clears the edge. Per
+    pass: (a) each view's private loadings solve the view covariance
     against shared-plus-noise, (b) the shared loadings solve the joint
     covariance against blockdiag of private-plus-noise, both via the
     standard recovery Sigma S_q (Lambda_q - I)^{1/2}. Iteration stops when
@@ -112,6 +118,15 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
             raise np.linalg.LinAlgError(f"iteration {iteration}, {block}: {exc}") from exc
 
     v1, v2 = np.zeros((d1, 0)), np.zeros((d2, 0))
+    q0, g1, g2 = 0, d1 / n, d2 / n
+    if g1 + g2 < 1.0:
+        try:
+            start = _cca_of_covariance(c, d1, n)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"start, canonical correlations: {exc}") from exc
+        edge = np.sqrt(g1 * (1.0 - g2)) + np.sqrt(g2 * (1.0 - g1))
+        q0 = int(np.sum(start.correlations > edge))
+        v1, v2 = start.v1[:, :q0], start.v2[:, :q0]
     history, rank_history, converged = [], [], False
     for iteration in range(1, max_iter + 1):
         w1 = solve(c11, LowRankPlusNoise(v1, sigma1_sq), "private block view 1").loadings
@@ -126,7 +141,7 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
 
     return SharedPrivateModel(w1=w1, w2=w2, v1=v1, v2=v2,
                               sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq,
-                              mu1=mu1, mu2=mu2, alpha=alpha,
+                              mu1=mu1, mu2=mu2, alpha=alpha, start_rank=q0,
                               history=np.array(history), converged=converged,
                               n_iter=iteration, rank_history=tuple(rank_history))
 

@@ -320,6 +320,8 @@ def test_itrca_predict_flow(tmp_path):
                    "-o", str(fit)) == 0
     manifest = read_manifest(fit / "manifest.txt")
     assert manifest["converged"] == "True"
+    # the start fired: it found the planted shared directions
+    assert manifest["q_start"] == manifest["q_shared"] == "2"
     iter_lines = (fit / "iterations.csv").read_text().splitlines()
     assert iter_lines[0] == "iteration,log_likelihood,q1,q2,q_shared"
     assert len(iter_lines) == int(manifest["n_iter"]) + 1
@@ -349,6 +351,7 @@ def test_predict_with_empty_model_blocks(tmp_path):
                    "--alpha", "0.9", "-o", str(fit)) == 0
     manifest = read_manifest(fit / "manifest.txt")
     assert (manifest["q1"], manifest["q2"], manifest["q_shared"]) == ("0", "0", "0")
+    assert manifest["q_start"] == "0"
     assert not (fit / "w1.csv").exists()
     pred = tmp_path / "pred"
     assert run_cli("predict", "--model-dir", str(fit), "--y2", str(y2p),

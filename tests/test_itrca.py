@@ -1,6 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import rca.cca
+import rca.itrca
 from rca.cca import cca_fit, cca_oracle
 from rca.core import ppca_fit, rca_fit
 from rca.itrca import (
@@ -50,21 +54,120 @@ def test_planted_recovery_fixed_seed():
     assert principal_angles_deg(model.w2, truth["w2"]).max() < 5.0
 
 
-def test_first_pass_with_zero_shared_is_ppca():
-    # with V = 0 the first private solve sees Sigma = sigma1^2 I, which is
-    # exactly the probabilistic-PCA problem for that view
-    y1, y2, _ = make_shared_private(3)
-    n, d1 = y1.shape
-    y1c = y1 - y1.mean(axis=0)
-    c11 = y1c.T @ y1c / n
-    sigma1_sq = 0.1 * np.trace(c11) / d1
-    margin = 3.0 / np.sqrt(n)
-    w_first = rca_fit(c11, sigma1_sq * np.eye(d1), rank_tol=margin).loadings
-    ppca = ppca_fit(y1, sigma1_sq)
-    assert w_first.shape[1] <= ppca.q
-    np.testing.assert_allclose(np.abs(w_first),
-                               np.abs(ppca.loadings[:, :w_first.shape[1]]),
-                               atol=1e-10)
+def no_correlations(c, d1, n):
+    """Stand-in for the start's CCA that finds no canonical correlation, so
+    the shared loadings start empty."""
+    return SimpleNamespace(correlations=np.zeros(0), v1=np.zeros((d1, 0)),
+                           v2=np.zeros((c.shape[0] - d1, 0)))
+
+
+def cold_fit(monkeypatch, *args, **kwargs):
+    """iterative_rca with V started empty instead of at the CCA loadings."""
+    with monkeypatch.context() as patch:
+        patch.setattr(rca.itrca, "_cca_of_covariance", no_correlations)
+        return iterative_rca(*args, **kwargs)
+
+
+def below_edge_views(n=500, d1=15, d2=12):
+    """Centred views of exactly orthogonal columns, except that column j of
+    y2 leans 0.1 on column j of y1: every canonical correlation is then
+    0.1 / sqrt(1.01), below the Wachter edge (0.32 at this shape)."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(np.hstack([np.ones((n, 1)), rng.standard_normal((n, d1 + d2))]))
+    basis = q[:, 1:] * np.sqrt(n)
+    return basis[:, :d1] * np.linspace(3.0, 0.5, d1), basis[:, d1:] + 0.1 * basis[:, :d2]
+
+
+def assert_same_model(a, b):
+    for name in ("w1", "w2", "v1", "v2", "history"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert (a.rank_history, a.converged, a.n_iter, a.start_rank) == \
+        (b.rank_history, b.converged, b.n_iter, b.start_rank)
+
+
+def test_first_pass_with_zero_shared_is_ppca(monkeypatch):
+    # where the start falls back (d1 + d2 >= n, or no canonical correlation
+    # above the edge) V starts empty, bitwise as a start that finds nothing;
+    # the first private solve then sees Sigma = sigma1^2 I, which is exactly
+    # the probabilistic-PCA problem for that view
+    wide = make_shared_private(3, n=20)[:2]  # d1 + d2 = 27 > n
+    for y1, y2 in (wide, below_edge_views()):
+        for max_iter in (1, 200):
+            model = iterative_rca(y1, y2, alpha=0.1, max_iter=max_iter)
+            assert model.start_rank == 0
+            assert_same_model(model, cold_fit(monkeypatch, y1, y2, alpha=0.1,
+                                               max_iter=max_iter))
+        w_first = iterative_rca(y1, y2, alpha=0.1, max_iter=1).w1
+        ppca = ppca_fit(y1, model.sigma1_sq)
+        assert w_first.shape[1] <= ppca.q
+        np.testing.assert_allclose(np.abs(w_first),
+                                   np.abs(ppca.loadings[:, :w_first.shape[1]]),
+                                   atol=1e-10)
+
+
+def assert_no_worse_than_cold(warm, cold, tol):
+    assert warm.ranks == cold.ranks
+    assert warm.converged == cold.converged
+    assert warm.history[-1] >= cold.history[-1] - tol
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_warm_start_matches_cold_start(monkeypatch, seed):
+    y1, y2, _ = make_shared_private(seed)
+    warm = iterative_rca(y1, y2, alpha=0.1)
+    assert warm.start_rank > 0
+    assert_no_worse_than_cold(warm, cold_fit(monkeypatch, y1, y2, alpha=0.1),
+                              1e-6 * y1.shape[0] * 27)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_warm_start_at_bench_shape_takes_at_most_three_passes(monkeypatch, seed):
+    y1, y2, _ = make_shared_private(seed, n=2000, d1=120, d2=80,
+                                    q_shared=3, q1=2, q2=2)
+    for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
+        warm = iterative_rca(y1, y2, alpha=alpha)
+        assert warm.start_rank == 3 and warm.n_iter <= 3
+        assert_no_worse_than_cold(warm, cold_fit(monkeypatch, y1, y2, alpha=alpha),
+                                  1e-6 * 2000 * 200)
+
+
+def edge_views(kind, seed):
+    y1, y2, _ = make_shared_private(seed)
+    if kind == "identical":
+        return y1, y1.copy()
+    if kind == "duplicated_column":
+        return y1, np.hstack([y2, y1[:, :1]])
+    if kind == "constant_column":
+        y1 = y1.copy()
+        y1[:, 2] = 3.0
+        return y1, y2
+    return make_shared_private(seed, n=20)[:2]  # d1 + d2 > n
+
+
+@pytest.mark.parametrize("kind", ["identical", "constant_column", "wider_than_n"])
+def test_warm_start_on_edge_inputs(monkeypatch, kind):
+    for seed in range(10):
+        y1, y2 = edge_views(kind, seed)
+        for alpha in (0.1, 0.3):
+            assert_no_worse_than_cold(
+                iterative_rca(y1, y2, alpha=alpha),
+                cold_fit(monkeypatch, y1, y2, alpha=alpha),
+                1e-6 * y1.shape[0] * (y1.shape[1] + y2.shape[1]))
+
+
+def test_warm_start_keeps_a_duplicated_column_shared(monkeypatch):
+    # a column of y1 copied into y2 is a canonical correlation of 1, and the
+    # split of its variance between the shared and private blocks has more
+    # than one fixed point. The start keeps it shared, where the cold start
+    # can leave it private: on some seeds the ranks differ and the final
+    # likelihood can sit above or below the cold start's. Both converge.
+    for seed in range(10):
+        y1, y2 = edge_views("duplicated_column", seed)
+        for alpha in (0.1, 0.3):
+            warm = iterative_rca(y1, y2, alpha=alpha)
+            cold = cold_fit(monkeypatch, y1, y2, alpha=alpha)
+            assert warm.converged and cold.converged
+            assert warm.ranks[0] >= cold.ranks[0]
 
 
 def test_history_monotone_on_planted_instance():
@@ -141,7 +244,6 @@ def test_joint_log_marginal_names_a_column_count_mismatch(view):
 
 
 def test_failed_solve_names_its_block(monkeypatch):
-    import rca.itrca
     y1, y2, _ = make_shared_private(1, n=50)
     calls = [0]
 
@@ -153,6 +255,14 @@ def test_failed_solve_names_its_block(monkeypatch):
 
     monkeypatch.setattr(rca.itrca, "rca_fit", failing)
     with pytest.raises(np.linalg.LinAlgError, match="iteration 1, shared block: injected"):
+        iterative_rca(y1, y2, alpha=0.2)
+
+    def failing_start(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(rca.cca, "rca_fit", failing_start)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^start, canonical correlations: injected$"):
         iterative_rca(y1, y2, alpha=0.2)
 
 

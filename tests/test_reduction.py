@@ -467,14 +467,17 @@ def test_iterative_rca_budget_does_not_grow_with_n(lapack_calls):
         per_n.append(Counter(lapack_calls))
     assert per_n[0] == per_n[1]
     calls = per_n[0]
-    assert set(calls) <= {"eigh", "svd"}
-    # per pass: three fits, one eigensolve each and at most one thin SVD of
-    # the factors each (none while a private block has no shared factors);
-    # every Sigma is diagonal plus low rank, so nothing is Cholesky-factored
-    # or inverted, and the pass likelihood comes from the shared fit
-    assert calls["eigh"] == 3 * passes
-    assert calls["svd"] <= 3 * passes
-    assert calls["cholesky"] == calls["inv"] == 0
+    assert set(calls) <= {"eigh", "svd", "cholesky", "inv"}
+    # the start is one CCA of the joint covariance: a Cholesky factor of
+    # blockdiag(C11, C22), its inverse and one eigensolve. Then per pass:
+    # three fits, one eigensolve and one thin SVD of the factors each (the
+    # start gives the first private blocks shared factors); every Sigma is
+    # diagonal plus low rank, so nothing more is Cholesky-factored or
+    # inverted, and the pass likelihood comes from the shared fit
+    assert model.start_rank > 0
+    assert calls["cholesky"] == calls["inv"] == 1
+    assert calls["eigh"] == 3 * passes + 1
+    assert calls["svd"] == 3 * passes
 
 
 # ---------------------------------------------------------------- validation budget
