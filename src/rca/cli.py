@@ -166,6 +166,7 @@ def cmd_itrca(args):
         "q1": q1, "q2": q2, "q_shared": qs, "q_start": model.start_rank,
         "converged": model.converged, "n_iter": model.n_iter,
         "log_likelihood": float(model.history[-1]),
+        "history_max_drop": float(np.max(np.diff(model.history[::-1]), initial=0.0)),
     }
 
 

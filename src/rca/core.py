@@ -146,19 +146,23 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     p = gram.shape[0] if gram.ndim else 0  # the reduction checks the gram
     eig, trace, times = _reduce(gram, sigma if hasattr(sigma, "materialize")
                                 else Explicit(sigma), p)
-    d = eig.values
-    # Sylvester's inertia: d_min < 0 gives lambda_min(G) >= d_min trace(Sigma),
-    # which settles semidefiniteness unless the bound is inconclusive.
+    # Sylvester's inertia: lambda_min(G) >= min(d_min, 0) trace(Sigma), which
+    # settles semidefiniteness unless that bound falls below the floor.
     floor = -1e-8 * max(np.linalg.norm(gram), 1e-300)
-    if d[-1] < 0 and d[-1] * trace < floor and np.linalg.eigvalsh(gram).min() < floor:
+    if eig.values[-1] * trace < floor and np.linalg.eigvalsh(gram).min() < floor:
         raise ValueError("gram matrix is not positive semidefinite")
+    return _fit_of_spectrum(eig, times, n_obs, rank_tol)
+
+
+def _fit_of_spectrum(eig, times, n_obs, rank_tol):
+    """The RcaFit of a solved spectrum; times maps S to Sigma S."""
+    d = eig.values
     q = int(np.sum(d > 1.0 + rank_tol))
-    s_q = eig.vectors[:, :q]
-    loadings = times(s_q) * np.sqrt(d[:q] - 1.0)
+    loadings = times(eig.vectors[:, :q]) * np.sqrt(d[:q] - 1.0)
     # At the ML solution K = X X' + Sigma has log|K| = log|Sigma| +
     # sum_{i<=q} log d_i and trace(K^{-1} G) = q + sum_{i>q} d_i.
     ll = -0.5 * n_obs * (eig.sigma_logdet + np.log(d[:q]).sum() + q + d[q:].sum()
-                         + p * np.log(2.0 * np.pi))
+                         + d.size * np.log(2.0 * np.pi))
     return RcaFit(eig=eig, q=q, loadings=loadings, log_likelihood=float(ll))
 
 

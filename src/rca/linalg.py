@@ -112,13 +112,16 @@ def _whitener(sigma):
     return vectors.T / np.sqrt(values)[:, None], float(np.log(values).sum()), jitter
 
 
-def _eig_tail(reduced, back, logdet, jitter):
-    """The eigensolve ending every route: S = back(V), sorted descending, each
-    column signed so its largest-magnitude entry (first on ties) is positive."""
-    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
-    s = back(vectors)[:, ::-1]
+def _signed(s):
+    """s, each column signed so its largest-magnitude entry (first on ties) is positive."""
     signs = np.sign(s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])])
-    return GenEig(values[::-1], s * np.where(signs == 0, 1.0, signs), logdet, jitter)
+    return s * np.where(signs == 0, 1.0, signs)
+
+
+def _eig_tail(reduced, back, logdet, jitter):
+    """The eigensolve ending every route: S = back(V), sorted descending, _signed."""
+    values, vectors = np.linalg.eigh(0.5 * (reduced + reduced.T))
+    return GenEig(values[::-1], _signed(back(vectors)[:, ::-1]), logdet, jitter)
 
 
 def gen_eig_spd(a, sigma):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rca.cca import cca_fit, cca_oracle
+from rca.cca import CORR_TOL, cca_fit, cca_oracle
+from rca.core import BlockDiagonal, rca_fit
 
 
 def make_views(rng, n, d1, d2, shared=2, strength=0.9):
@@ -138,3 +139,52 @@ def test_fit_survives_rank_deficient_views_via_jitter():
     assert fit.correlations.size > 0
     np.testing.assert_allclose(fit.correlations,
                                np.ones_like(fit.correlations), atol=1e-6)
+
+
+def _joint_covariance(y1, y2):
+    joint = np.hstack([y1 - y1.mean(axis=0), y2 - y2.mean(axis=0)])
+    return joint.T @ joint / joint.shape[0]
+
+
+_rng = np.random.default_rng(12)
+_wide = _rng.standard_normal((20, 30))
+_collinear = _rng.standard_normal((40, 6))
+_collinear[:, 2] = _collinear[:, 0] + _collinear[:, 1]
+
+
+@pytest.mark.parametrize("y1,y2", [
+    pytest.param(_wide[:, :25], _wide[:, 25:], id="wider_than_n"),
+    pytest.param(_collinear[:, :3], _collinear[:, 3:], id="collinear_column"),
+    pytest.param(_wide[:, :25], _wide[:, :25].copy(), id="identical_wider_than_n"),
+    pytest.param(np.ones((20, 3)), _wide[:, :4], id="constant_view")])
+def test_views_that_need_jitter_take_the_joint_solve(y1, y2):
+    # a jittered view is not the identity once whitened, so the per-view
+    # closed form does not hold; the fit is then exactly the joint rca_fit
+    d1, n = y1.shape[1], y1.shape[0]
+    c = _joint_covariance(y1, y2)
+    ref = rca_fit(c, BlockDiagonal((c[:d1, :d1], c[d1:, d1:])), n_obs=n, rank_tol=CORR_TOL)
+    fit = cca_fit(y1, y2).fit
+    assert ref.eig.jitter > 0
+    for got, want in ((fit.eig.values, ref.eig.values), (fit.eig.vectors, ref.eig.vectors),
+                      (fit.loadings, ref.loadings)):
+        assert np.array_equal(got, want)
+    assert (fit.eig.jitter, fit.eig.sigma_logdet, fit.q, fit.log_likelihood) == \
+        (ref.eig.jitter, ref.eig.sigma_logdet, ref.q, ref.log_likelihood)
+
+
+def test_views_scaled_1e12_apart_need_no_jitter():
+    # the joint jitter rule sees trace/dim dominated by the large view and
+    # jitters blockdiag(C11, C22); each view's own rule does not, so the
+    # closed form runs unjittered and CCA stays invariant to the scale
+    rng = np.random.default_rng(13)
+    y1, y2 = make_views(rng, 200, 6, 4)
+    big = 1e6 * y1
+    c = _joint_covariance(big, y2)
+    sigma = c.copy()
+    sigma[:6, 6:] = sigma[6:, :6] = 0.0
+    assert rca_fit(c, BlockDiagonal((c[:6, :6], c[6:, 6:])), rank_tol=CORR_TOL).eig.jitter > 0
+    fit = cca_fit(big, y2)
+    s, d = fit.fit.eig.vectors, fit.fit.eig.values
+    assert fit.fit.eig.jitter == 0.0
+    assert np.linalg.norm(c @ s - sigma @ s * d) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(s)
+    np.testing.assert_allclose(fit.correlations, cca_fit(y1, y2).correlations, rtol=0, atol=1e-12)

@@ -339,6 +339,25 @@ def test_itrca_predict_flow(tmp_path):
     assert float(rms_line.split("=")[1]) < np.std(truth)
 
 
+@pytest.mark.parametrize("seed,n,alpha,falls", [
+    pytest.param(5, 500, 0.3, True, id="falling"),
+    pytest.param(4, 250, 0.1, False, id="monotone")])
+def test_itrca_manifest_reports_the_largest_history_fall(tmp_path, seed, n, alpha, falls):
+    # the CCA start can put pass 1 above the fixed point the later passes
+    # settle on; the manifest records the largest fall between passes
+    shr, fit = tmp_path / "shr", tmp_path / "fit"
+    run_cli("synth-shared", "--seed", str(seed), "--n", str(n), "-o", str(shr))
+    assert run_cli("itrca", "--y1", str(shr / "y1.csv"), "--y2", str(shr / "y2.csv"),
+                   "--alpha", str(alpha), "-o", str(fit)) == 0
+    drop = float(read_manifest(fit / "manifest.txt")["history_max_drop"])
+    history = load_csv(fit / "iterations.csv")[0][:, 1]
+    assert drop == max(0.0, *(history[:-1] - history[1:]))
+    if falls:
+        assert drop == pytest.approx(0.1615, abs=1e-3)
+    else:
+        assert (np.diff(history) > 0).all() and drop == 0.0
+
+
 def test_predict_with_empty_model_blocks(tmp_path):
     rng = np.random.default_rng(9)
     basis, _ = np.linalg.qr(rng.standard_normal((100, 9)))

@@ -260,7 +260,13 @@ def test_failed_solve_names_its_block(monkeypatch):
     def failing_start(*args, **kwargs):
         raise np.linalg.LinAlgError("injected")
 
-    monkeypatch.setattr(rca.cca, "rca_fit", failing_start)
+    # the start whitens each view, then takes one SVD
+    monkeypatch.setattr(rca.cca, "_whitener", failing_start)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="^start, canonical correlations: injected$"):
+        iterative_rca(y1, y2, alpha=0.2)
+    monkeypatch.undo()
+    monkeypatch.setattr(rca.cca.np.linalg, "svd", failing_start)
     with pytest.raises(np.linalg.LinAlgError,
                        match="^start, canonical correlations: injected$"):
         iterative_rca(y1, y2, alpha=0.2)

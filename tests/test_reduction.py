@@ -20,7 +20,7 @@ from rca.core import (
     ppca_fit,
     rca_fit,
 )
-from rca.cca import CORR_TOL, cca_fit
+from rca.cca import CORR_TOL, cca_fit, cca_oracle
 from rca.itrca import iterative_rca
 from rca.synth import make_shared_private
 from rca.linalg import JITTER_FLOOR, JITTER_SCALE, LEAF, NotPositiveDefiniteError, _tri_inv
@@ -441,9 +441,9 @@ def test_cca_fit_budget(lapack_calls):
     y2 = z @ rng.standard_normal((2, 4)) + rng.standard_normal((200, 4))
     lapack_calls.clear()
     cca_fit(y1, y2)
-    assert lapack_calls["eigh"] == 1
-    assert set(lapack_calls) <= {"eigh", "cholesky", "inv"}
-    assert lapack_calls["cholesky"] <= 1 and lapack_calls["inv"] <= 1
+    # a Cholesky factor and its inverse per view, then one SVD of the
+    # whitened cross-covariance gives the whole spectrum: no eigensolve
+    assert lapack_calls == Counter(cholesky=2, inv=2, svd=1)
 
 
 def test_cca_fit_budget_above_leaf(lapack_calls):
@@ -453,7 +453,8 @@ def test_cca_fit_budget_above_leaf(lapack_calls):
     y2 = z @ rng.standard_normal((2, 40)) + rng.standard_normal((400, 40))
     lapack_calls.clear()
     cca_fit(y1, y2)
-    assert lapack_calls == Counter(eigh=1, cholesky=1, inv=1)
+    # both views are above LEAF: each inverse is one batched inv of its leaves
+    assert lapack_calls == Counter(cholesky=2, inv=2, svd=1)
 
 
 def test_iterative_rca_budget_does_not_grow_with_n(lapack_calls):
@@ -468,16 +469,16 @@ def test_iterative_rca_budget_does_not_grow_with_n(lapack_calls):
     assert per_n[0] == per_n[1]
     calls = per_n[0]
     assert set(calls) <= {"eigh", "svd", "cholesky", "inv"}
-    # the start is one CCA of the joint covariance: a Cholesky factor of
-    # blockdiag(C11, C22), its inverse and one eigensolve. Then per pass:
-    # three fits, one eigensolve and one thin SVD of the factors each (the
-    # start gives the first private blocks shared factors); every Sigma is
-    # diagonal plus low rank, so nothing more is Cholesky-factored or
+    # the start is one CCA of the joint covariance: a Cholesky factor and its
+    # inverse per view, and one SVD of the whitened cross-covariance. Then per
+    # pass: three fits, one eigensolve and one thin SVD of the factors each
+    # (the start gives the first private blocks shared factors); every Sigma
+    # is diagonal plus low rank, so nothing more is Cholesky-factored or
     # inverted, and the pass likelihood comes from the shared fit
     assert model.start_rank > 0
-    assert calls["cholesky"] == calls["inv"] == 1
-    assert calls["eigh"] == 3 * passes + 1
-    assert calls["svd"] == 3 * passes
+    assert calls["cholesky"] == calls["inv"] == 2
+    assert calls["eigh"] == 3 * passes
+    assert calls["svd"] == 3 * passes + 1
 
 
 # ---------------------------------------------------------------- validation budget
@@ -524,11 +525,15 @@ def test_fit_wrappers_check_gram_and_sigma_once(symmetry_checks):
     y = rng.standard_normal((60, 9))
     y1, y2, t1, t2, _ = make_diffexpr_pair(3, n_genes=40)
     pair = TimeSeriesPair(y1, y2, t1, t2)
-    for fit in (lambda: ppca_fit(y, 0.5), lambda: cca_fit(y[:, :5], y[:, 5:]),
-                lambda: residual_scores(pair, KernelSpec())):
+    for fit in (lambda: ppca_fit(y, 0.5), lambda: residual_scores(pair, KernelSpec())):
         symmetry_checks[0] = 0
         fit()
         assert symmetry_checks[0] == 2
+    # cca_fit forms its gram as joint' joint, symmetric by construction, and
+    # whitens the views' diagonal blocks of it: there is nothing to check
+    symmetry_checks[0] = 0
+    cca_fit(y[:, :5], y[:, 5:])
+    assert symmetry_checks[0] == 0
 
 
 # ---------------------------------------------------------------- blocked triangular inverse
@@ -619,3 +624,29 @@ def test_blocked_cca_fit_matches_a_cholesky_solve(p):
     sigma = c.copy()
     sigma[:d1, d1:] = sigma[d1:, :d1] = 0.0
     assert_matches_cholesky_solve(fit.fit, c, sigma, CORR_TOL)
+
+
+@pytest.mark.parametrize("d1,d2", [(5, 3), (3, 5), (40, 20), (20, 40), (100, 100)])
+def test_closed_form_cca_is_the_full_joint_solve(d1, d2):
+    # every column of the closed form, the |d1 - d2| unit block included,
+    # solves C S = blockdiag(C11, C22) S D, against a Cholesky solve and the
+    # independent whitened-eigh oracle
+    rng = np.random.default_rng(940 + d1 + 2 * d2)
+    n, p = 4 * (d1 + d2), d1 + d2
+    z = rng.standard_normal((n, 3))
+    y = z @ rng.standard_normal((3, p)) + rng.standard_normal((n, p))
+    fit = cca_fit(y[:, :d1], y[:, d1:])
+    yc = y - y.mean(axis=0)
+    c = yc.T @ yc / n
+    sigma = c.copy()
+    sigma[:d1, d1:] = sigma[d1:, :d1] = 0.0
+    eig = fit.fit.eig
+    assert eig.jitter == 0.0 and eig.vectors.shape == (p, p)
+    assert_matches_cholesky_solve(fit.fit, c, sigma, CORR_TOL)
+    m = min(d1, d2)
+    np.testing.assert_allclose(eig.values + eig.values[::-1], 2.0, rtol=0, atol=1e-12)
+    assert (eig.values[m:p - m] == 1.0).all()
+    s = eig.vectors
+    assert (s[np.argmax(np.abs(s), axis=0), np.arange(p)] > 0).all()
+    np.testing.assert_allclose(fit.correlations, cca_oracle(y[:, :d1], y[:, d1:])[:fit.fit.q],
+                               rtol=0, atol=1e-12)
