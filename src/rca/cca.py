@@ -65,10 +65,12 @@ def _cca_of_covariance(c, d1, n):
     first d1 columns are view 1."""
     c11, c22 = c[:d1, :d1], c[d1:, d1:]
     try:
-        (t1, logdet1, jitter1), (t2, logdet2, jitter2) = _whitener(c11), _whitener(c22)
+        t1, logdet1, jitter = _whitener(c11)
+        if not jitter:
+            t2, logdet2, jitter = _whitener(c22)
     except NotPositiveDefiniteError:  # e.g. a constant view: the joint jitter rescues it
-        jitter1 = 1.0
-    if jitter1 or jitter2:  # a jittered view is not I once whitened: solve jointly
+        jitter = 1.0
+    if jitter:  # a jittered view is not I once whitened: solve jointly
         fit = rca_fit(c, BlockDiagonal((c11, c22)), n_obs=n, rank_tol=CORR_TOL)
     else:
         u, rho, wt = np.linalg.svd(t1 @ c[:d1, d1:] @ t2.T)

@@ -8,6 +8,7 @@ records wall-clock state, so identical inputs give byte-identical files.
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 
@@ -122,7 +123,7 @@ def cmd_diffexpr(args):
         [f"g{j}" for j in range(y1.shape[1])]
     rank_of = np.empty(ranking.order.size, dtype=int)
     rank_of[ranking.order] = np.arange(1, ranking.order.size + 1)
-    rows = "\n".join(map("%s,%.17g,%d".__mod__, zip(
+    cells = tuple(itertools.chain.from_iterable(zip(
         gene_ids, ranking.scores.tolist(), rank_of.tolist())))
 
     manifest = {
@@ -132,16 +133,15 @@ def cmd_diffexpr(args):
         "standardize": not args.no_standardize,
         "q_used": ranking.q_used,
     }
-    artifacts = {"scores.csv": "gene_id,score,rank\n" + rows + "\n",
+    artifacts = {"scores.csv": "gene_id,score,rank\n"
+                 + "%s,%.17g,%d\n" * len(gene_ids) % cells,
                  "roc.csv": None}
     if args.labels:
         labels, _, _ = load_csv(args.labels)
         roc = roc_curve(ranking.scores, labels.ravel())
-        lines = ["threshold,fpr,tpr"]
-        for thr, (fpr, tpr) in zip(roc.thresholds, roc.points):
-            lines.append(f"{thr:.17g},{fpr:.17g},{tpr:.17g}")
-        lines.append(f"auc,{roc.auc:.17g},")
-        artifacts["roc.csv"] = "\n".join(lines) + "\n"
+        table = np.column_stack([roc.thresholds, roc.points])
+        artifacts["roc.csv"] = ("threshold,fpr,tpr\n" + "%.17g,%.17g,%.17g\n" * len(table)
+                                % tuple(table.ravel().tolist()) + f"auc,{roc.auc:.17g},\n")
         manifest["auc"] = roc.auc
     return artifacts, manifest
 

@@ -6,7 +6,6 @@ and renamed into place, so readers never observe a half-written artifact.
 """
 
 import contextlib
-import itertools
 import os
 import tempfile
 
@@ -35,6 +34,12 @@ def load_csv(path):
         except ValueError:
             return False
 
+    # the common file, numbers only with no header or row labels: one np.loadtxt
+    plain = vectorizable and numeric(lines[0].split(",", 1)[0])
+    matrix = _parse_body(lines, None) if plain else None
+    if matrix is not None:
+        return matrix, None, None
+
     header = None
     first = lines[0].split(",")
     if not all(numeric(c) for c in first):
@@ -51,7 +56,9 @@ def load_csv(path):
     row_labels = None
     if labeled:
         row_labels = [line.split(",", 1)[0].strip() for line in lines]
-    matrix = _parse_body(lines, width, labeled) if vectorizable else None
+    # without a header or labels, these are the lines the call above rejected
+    if vectorizable and (header is not None or labeled):
+        matrix = _parse_body(lines, width if labeled else None)
     if matrix is None:
         matrix = _parse_cells(path, lines, numbers, width, labeled)
     if matrix.ndim != 2 or matrix.size == 0:
@@ -78,18 +85,21 @@ def _read_lines(path):
     return [lines[i - 1] for i in numbers], numbers, vectorizable
 
 
-def _parse_body(lines, width, labeled):
+def _parse_body(lines, label_width):
     """The body as one np.loadtxt call, or None when only the per-cell
-    parse can decide (an error to report, or a cell only float() reads)."""
-    if any(line.count(",") != width - 1 for line in lines):
+    parse can decide (an error to report, or a cell only float() reads).
+    label_width is the column count of a body whose first column holds row
+    labels, None for an unlabeled body (loadtxt rejects ragged rows itself)."""
+    labeled = label_width is not None
+    if labeled and any(line.count(",") != label_width - 1 for line in lines):
         return None  # loadtxt ignores columns past usecols
     try:
         matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                            usecols=range(1, width) if labeled else None)
+                            usecols=range(1, label_width) if labeled else None)
     except ValueError:
         return None
     # one row per body line, should a numpy version skip a line as blank
-    return matrix if matrix.shape == (len(lines), width - labeled) else None
+    return matrix if matrix.shape[0] == len(lines) else None
 
 
 def _parse_cells(path, lines, numbers, width, labeled):
@@ -161,9 +171,8 @@ def save_csv(path, matrix, header=None):
         elif n_rows == 0:
             fh.write("\n")  # every file ends in a newline, even with no lines
         for start in range(0, n_rows, step):
-            block = matrix[start:start + step].tolist()
-            cells = tuple(itertools.chain.from_iterable(block))
-            fh.write((row_fmt * len(block)) % cells)
+            block = matrix[start:start + step]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_manifest(path, entries):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -152,18 +154,28 @@ _collinear = _rng.standard_normal((40, 6))
 _collinear[:, 2] = _collinear[:, 0] + _collinear[:, 1]
 
 
-@pytest.mark.parametrize("y1,y2", [
-    pytest.param(_wide[:, :25], _wide[:, 25:], id="wider_than_n"),
-    pytest.param(_collinear[:, :3], _collinear[:, 3:], id="collinear_column"),
-    pytest.param(_wide[:, :25], _wide[:, :25].copy(), id="identical_wider_than_n"),
-    pytest.param(np.ones((20, 3)), _wide[:, :4], id="constant_view")])
-def test_views_that_need_jitter_take_the_joint_solve(y1, y2):
+# The joint solve makes one cholesky and two eigh, plus one eigvalsh where
+# the smallest eigenvalue leaves semidefiniteness open; view 1's whitener
+# adds a cholesky and an eigh, and view 2's is never computed once view 1's
+# has jitter.
+@pytest.mark.parametrize("y1,y2,calls", [
+    pytest.param(_wide[:, :25], _wide[:, 25:], Counter(cholesky=2, eigh=3, eigvalsh=1),
+                 id="wider_than_n"),
+    pytest.param(_collinear[:, :3], _collinear[:, 3:], Counter(cholesky=2, eigh=3),
+                 id="collinear_column"),
+    pytest.param(_wide[:, :25], _wide[:, :25].copy(), Counter(cholesky=2, eigh=3, eigvalsh=1),
+                 id="identical_wider_than_n"),
+    pytest.param(np.ones((20, 3)), _wide[:, :4], Counter(cholesky=2, eigh=3),
+                 id="constant_view")])
+def test_views_that_need_jitter_take_the_joint_solve(lapack_calls, y1, y2, calls):
     # a jittered view is not the identity once whitened, so the per-view
     # closed form does not hold; the fit is then exactly the joint rca_fit
     d1, n = y1.shape[1], y1.shape[0]
     c = _joint_covariance(y1, y2)
     ref = rca_fit(c, BlockDiagonal((c[:d1, :d1], c[d1:, d1:])), n_obs=n, rank_tol=CORR_TOL)
+    lapack_calls.clear()
     fit = cca_fit(y1, y2).fit
+    assert lapack_calls == calls
     assert ref.eig.jitter > 0
     for got, want in ((fit.eig.values, ref.eig.values), (fit.eig.vectors, ref.eig.vectors),
                       (fit.loadings, ref.loadings)):

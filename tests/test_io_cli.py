@@ -7,9 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import rca.cli
+import rca.io
 from oracles import float_cell_csv
 from rca.cli import build_parser, main, parse_sigma_spec, parse_times
 from rca.core import BlockDiagonal, Explicit, LowRankPlusNoise, ScaledIdentity
+from rca.diffexpr import ScoredRanking, TimeSeriesPair, residual_scores, roc_curve
+from rca.kernels import FRACTION, KernelSpec
 from rca.io import atomic_write_text, load_csv, read_manifest, save_csv, write_manifest
 
 
@@ -57,6 +61,52 @@ def test_load_errors_report_physical_line_numbers(tmp_path, text, message):
     p.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_csv(p)
+
+
+@pytest.fixture
+def body_parses(monkeypatch):
+    """The line count given to each np.loadtxt call and to each per-cell
+    parse, in call order."""
+    calls = {"loadtxt": [], "cells": []}
+    loadtxt, parse_cells = np.loadtxt, rca.io._parse_cells
+
+    def counted_loadtxt(lines, *args, **kwargs):
+        calls["loadtxt"].append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    def counted_cells(path, lines, *args):
+        calls["cells"].append(len(lines))
+        return parse_cells(path, lines, *args)
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(rca.io, "_parse_cells", counted_cells)
+    return calls
+
+
+_ROWS = [f"{i},{i / 7!r},-{i}e3" for i in range(40)]
+
+
+@pytest.mark.parametrize("lines", [
+    pytest.param(_ROWS, id="numbers_only"),
+    pytest.param(["a,b,c"] + _ROWS, id="header"),
+    pytest.param(["id,a,b,c"] + [f"g{i},{row}" for i, row in enumerate(_ROWS)],
+                 id="header_and_labels"),
+])
+def test_a_valid_file_is_one_loadtxt_call(tmp_path, body_parses, lines):
+    p = tmp_path / "m.csv"
+    p.write_text("\n".join(lines) + "\n")
+    values, _, _ = load_csv(p)
+    assert values.shape == (len(_ROWS), 3)
+    assert body_parses == {"loadtxt": [len(_ROWS)], "cells": []}
+
+
+def test_a_bad_last_cell_is_at_most_one_loadtxt_call(tmp_path, body_parses):
+    p = tmp_path / "m.csv"
+    p.write_text("\n".join(_ROWS + ["1,2,x"]) + "\n")
+    with pytest.raises(ValueError, match="line 41, column 3: not a number: 'x'"):
+        load_csv(p)
+    assert body_parses["loadtxt"] in ([], [41])
+    assert body_parses["cells"] == [41]
 
 
 def test_round_trip_bit_exact(tmp_path):
@@ -139,6 +189,10 @@ def _outcome(read, path):
 @example("1\n \n2\n")
 @example("\x1f1,2\n")
 @example("g1\ng2\n")
+@example("1_0,2\n3,4\n")  # a first line only float() reads
+@example("nan,inf\n1,2\n")
+@example(",".join(f"{j / 3!r}" for j in range(2000)) + "\n")  # 1 row x 2000 columns
+@example("1\n\t\n2\n")
 def test_load_matches_float_per_cell_reference(tmp_path, text):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode("utf-8"))
@@ -289,6 +343,51 @@ def test_diffexpr_and_roc_outputs(tmp_path):
     assert roc_lines[0] == "threshold,fpr,tpr"
     assert roc_lines[-1].startswith("auc,")
     assert "auc" in read_manifest(out / "manifest.txt")
+
+
+def test_diffexpr_golden_bytes(tmp_path, monkeypatch):
+    # fixed scores (ties, zero, subnormal-range and huge values) pin the
+    # bytes of both artifacts, header gene names and the auc trailer included
+    scores = np.array([0.1, 1 / 3, 0.0, 1 / 3, 2.5e-300, 7.0, 1e22])
+    monkeypatch.setattr(rca.cli, "residual_scores", lambda pair, spec, standardize:
+                        ScoredRanking(scores, np.argsort(-scores, kind="stable"), 2))
+    (tmp_path / "y1.csv").write_text("alpha,b,c,d,e,f,g\n1,2,3,4,5,6,7\n2,3,4,5,6,7,8\n")
+    save_csv(tmp_path / "y2.csv", np.ones((2, 7)))
+    save_csv(tmp_path / "labels.csv", np.array([1.0, 0, 0, 1, 0, 1, 0]))
+    out = tmp_path / "out"
+    assert run_cli("diffexpr", "--y1", str(tmp_path / "y1.csv"),
+                   "--y2", str(tmp_path / "y2.csv"), "--t1", "0,1", "--t2", "0,1",
+                   "--labels", str(tmp_path / "labels.csv"), "-o", str(out)) == 0
+    assert (out / "scores.csv").read_bytes() == (
+        b"gene_id,score,rank\n"
+        b"alpha,0.10000000000000001,5\nb,0.33333333333333331,3\nc,0,7\n"
+        b"d,0.33333333333333331,4\ne,2.5e-300,6\nf,7,2\ng,1e+22,1\n")
+    assert (out / "roc.csv").read_bytes() == (
+        b"threshold,fpr,tpr\ninf,0,0\n1e+22,0.25,0\n7,0.25,0.33333333333333331\n"
+        b"0.33333333333333331,0.5,0.66666666666666663\n0.10000000000000001,0.5,1\n"
+        b"2.5e-300,0.75,1\n0,1,1\nauc,0.625,\n")
+
+
+def test_diffexpr_bytes_match_a_per_row_format(tmp_path):
+    # a seeded run against its own numbers formatted one row at a time: the
+    # bytes hold on any BLAS, where a recorded digest of the scores would not
+    syn, out = tmp_path / "syn", tmp_path / "out"
+    run_cli("synth-diffexpr", "--seed", "2", "--genes", "40", "--planted", "4",
+            "--noise-sd", "1.0", "-o", str(syn))
+    files = [str(syn / f"{name}.csv") for name in ("y1", "y2", "t1", "t2", "labels")]
+    assert run_cli("diffexpr", "--y1", files[0], "--y2", files[1], "--t1", files[2],
+                   "--t2", files[3], "--labels", files[4], "-o", str(out)) == 0
+    y1, y2, t1, t2, labels = (load_csv(f)[0] for f in files)
+    ranking = residual_scores(TimeSeriesPair(y1, y2, t1.ravel(), t2.ravel()),
+                              KernelSpec(20.0, 0.01, FRACTION))
+    rank = np.argsort(ranking.order) + 1
+    assert (out / "scores.csv").read_text() == "gene_id,score,rank\n" + "".join(
+        f"g{j},{s:.17g},{r}\n" for j, (s, r) in enumerate(zip(ranking.scores, rank)))
+    roc = roc_curve(ranking.scores, labels.ravel())
+    assert 0 < roc.auc < 1
+    assert (out / "roc.csv").read_text() == "threshold,fpr,tpr\n" + "".join(
+        f"{thr:.17g},{fpr:.17g},{tpr:.17g}\n"
+        for thr, (fpr, tpr) in zip(roc.thresholds, roc.points)) + f"auc,{roc.auc:.17g},\n"
 
 
 def test_diffexpr_rejects_non_binary_labels(tmp_path, capsys):

@@ -316,23 +316,6 @@ def test_gram_semidefinite_threshold(spec, factor, accepted):
 
 # ---------------------------------------------------------------- decomposition budget
 
-DECOMPOSITIONS = ("eigh", "eigvalsh", "cholesky", "solve", "inv", "svd", "qr",
-                  "slogdet", "det", "eig", "lstsq", "pinv")
-
-
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """Counts of np.linalg decomposition calls; clear() before the call
-    under test, since building inputs may use np.linalg too."""
-    counts = Counter()
-    for name in DECOMPOSITIONS:
-        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return counts
-
-
 def dense_specs(rng, p=P):
     b1, b2 = random_spd(rng, p - 5 * p // 12), random_spd(rng, 5 * p // 12)
     factors = rng.standard_normal((p, 3))
