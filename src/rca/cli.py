@@ -180,8 +180,10 @@ def load_model(model_dir):
     d2 = int(manifest["d2"])
 
     def block(name, rows, cols):
-        path = os.path.join(model_dir, name)
-        return load_csv(path)[0] if cols else np.zeros((rows, 0))
+        m = load_csv(os.path.join(model_dir, name))[0] if cols else np.zeros((rows, 0))
+        if m.shape != (rows, cols):
+            raise ValueError(f"{name} has shape {m.shape}, the manifest gives {(rows, cols)}")
+        return m
 
     return SharedPrivateModel(
         w1=block("w1.csv", d1, int(manifest["q1"])),
@@ -190,8 +192,8 @@ def load_model(model_dir):
         v2=block("v2.csv", d2, int(manifest["q_shared"])),
         sigma1_sq=float(manifest["sigma1_sq"]),
         sigma2_sq=float(manifest["sigma2_sq"]),
-        mu1=load_csv(os.path.join(model_dir, "mu1.csv"))[0].ravel(),
-        mu2=load_csv(os.path.join(model_dir, "mu2.csv"))[0].ravel(),
+        mu1=block("mu1.csv", d1, 1).ravel(),
+        mu2=block("mu2.csv", d2, 1).ravel(),
         alpha=float(manifest["alpha"]),
         history=np.array([]),
         converged=manifest.get("converged", "True") == "True",

@@ -142,10 +142,9 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
         raise ValueError(f"n_obs must be finite and positive, got {n_obs}")
     if not 0.0 <= rank_tol < np.inf:
         raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
-    gram = np.asarray(gram, dtype=float)
-    p = gram.shape[0] if gram.ndim else 0  # the reduction checks the gram
+    gram = as_matrix(gram, "gram")  # the reduction checks its symmetry
     eig, trace, times = _reduce(gram, sigma if hasattr(sigma, "materialize")
-                                else Explicit(sigma), p)
+                                else Explicit(sigma), gram.shape[0])
     # Sylvester's inertia: lambda_min(G) >= min(d_min, 0) trace(Sigma), which
     # settles semidefiniteness unless that bound falls below the floor.
     floor = -1e-8 * max(np.linalg.norm(gram), 1e-300)

@@ -60,7 +60,7 @@ def _views_spec(w1, w2, sigma1_sq, sigma2_sq, *shared):
                             np.repeat([sigma1_sq, sigma2_sq], [len(w1), len(w2)]))
 
 
-def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
+def iterative_rca(y1, y2, alpha, tol=None, max_iter=200):
     """Fit the shared/private model by alternating residual-component solves.
 
     The shared loadings start at the probabilistic-CCA solution
@@ -84,11 +84,11 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     alpha in (0, 1) fixes the noise floors: sigma_i^2 = (alpha / d_i)
     trace(C_ii).
 
-    rank_margin widens the unit eigenvalue threshold to 1 + rank_margin
-    inside every solve. Sample covariances put O(n^{-1/2}) coupling
-    fluctuations right above 1 (cross-view sample correlations of retained
-    components land at 1 + |rho|), so the default 3 / sqrt(n) drops those
-    while leaving real structure, which sits far above the band.
+    Every solve keeps only eigenvalues above 1 + 3 / sqrt(n). Sample
+    covariances put O(n^{-1/2}) coupling fluctuations right above 1
+    (cross-view sample correlations of retained components land at
+    1 + |rho|), and that band drops them while leaving real structure,
+    which sits far above it.
     """
     joint, mu1, mu2 = _center_views(y1, y2)
     n, d1, d2 = joint.shape[0], mu1.size, mu2.size
@@ -100,10 +100,6 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if rank_margin is None:
-        rank_margin = 3.0 / np.sqrt(n)
-    if not 0.0 <= rank_margin < np.inf:
-        raise ValueError(f"rank_margin must be finite and nonnegative, got {rank_margin}")
 
     c = joint.T @ joint / n
     c11, c22 = c[:d1, :d1], c[d1:, d1:]
@@ -113,7 +109,7 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200, rank_margin=None):
     def solve(cov, sigma, block):
         """rca_fit of cov against the spec sigma; failures name the solve."""
         try:
-            return rca_fit(cov, sigma, n_obs=n, rank_tol=rank_margin)
+            return rca_fit(cov, sigma, n_obs=n, rank_tol=3.0 / np.sqrt(n))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"iteration {iteration}, {block}: {exc}") from exc
 

@@ -3,8 +3,8 @@
 Each route reduces ``A S = Sigma S D`` to one symmetric eigenproblem C = T A T'
 = V D V', S = T' V with T Sigma T' = I, which also gives log|Sigma|. A dense
 Sigma = L L' takes T = L^{-1} (Golub & Van Loan, Matrix Computations, 8.7), by
-a batched blocked triangular inverse above LEAF rows (_tri_inv); a diagonal-
-plus-low-rank Sigma = D + F F' is never formed (gen_eig_lowrank).
+a batched blocked triangular inverse (_tri_inv); a diagonal-plus-low-rank
+Sigma = D + F F' is never formed (gen_eig_lowrank).
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,7 @@ import numpy as np
 SYMMETRY_RTOL = 1e-10
 JITTER_FLOOR = 1e-12
 JITTER_SCALE = 1e-10
-LEAF = 32  # _tri_inv's leaf size; a factor of at most LEAF rows takes np.linalg.inv
+LEAF = 32  # _tri_inv's largest leaf: a factor of at most LEAF rows is one inv, then tril
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -36,12 +36,12 @@ def as_matrix(a, name="matrix"):
     return a
 
 
-def check_square_symmetric(a, name="matrix", rtol=SYMMETRY_RTOL):
+def check_square_symmetric(a, name="matrix"):
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
     scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > rtol * max(scale, 1e-300):
+    if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * max(scale, 1e-300):
         raise ValueError(f"{name} is not symmetric within tolerance")
     return a
 
@@ -66,8 +66,6 @@ def _tri_inv(l):
     by I to 2^levels blocks of b <= LEAF rows, one batched inv of those, then per
     level pairs join as [[A, 0], [B, C]]^{-1} = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]."""
     p = l.shape[0]
-    if p <= LEAF:
-        return np.linalg.inv(l)
     n = 1 << (-(-p // LEAF) - 1).bit_length()
     b = -(-p // n)
     a, t = np.eye(n * b), np.zeros((n * b, n * b))
@@ -86,11 +84,11 @@ def _whitener(sigma):
     """(T, log|sigma_eff|, jitter) with T sigma_eff T' = I, sigma_eff being
     sigma plus jitter times the identity: the one place a dense covariance
     is factored and the jitter policy applied. sigma must be checked square
-    and symmetric. T is L^{-1} (_tri_inv, blocked above LEAF rows) when 1 /
-    ||L^{-1}||_F^2 = 1 / trace(sigma^{-1}) <= lambda_min clears the floor.
-    Otherwise one eigh of sigma decides: jitter is JITTER_SCALE * trace/dim
-    if the smallest eigenvalue sits at or below the floor, else 0 (sigma +
-    jitter I shares sigma's eigenvectors), and T = Lambda^{-1/2} U'. Raises
+    and symmetric. T is L^{-1} (_tri_inv) when 1 / ||L^{-1}||_F^2 =
+    1 / trace(sigma^{-1}) <= lambda_min clears the floor. Otherwise one eigh
+    of sigma decides: jitter is JITTER_SCALE * trace/dim if the smallest
+    eigenvalue sits at or below the floor, else 0 (sigma + jitter I shares
+    sigma's eigenvectors), and T = Lambda^{-1/2} U'. Raises
     NotPositiveDefiniteError, naming the eigenvalue, if jitter fails to help.
     """
     scale = np.trace(sigma) / sigma.shape[0]

@@ -6,17 +6,19 @@ from .kernels import ABSOLUTE, KernelSpec, rbf_gram
 
 TREATMENT_TIMES = np.arange(0.0, 241.0, 20.0)           # 13 points
 CONTROL_TIMES = np.array([0.0, 20.0, 40.0, 60.0, 120.0, 180.0, 240.0])
+# make_diffexpr_pair's profile and bump shapes; make_shared_private's mean scale
+PROFILE_AMPLITUDE, PROFILE_LENGTHSCALE = 1.0, 20.0
+BUMP_FACTOR, BUMP_LENGTHSCALE = 3.0, 8.0
+MEAN_SCALE = 2.0
 
 
-def make_diffexpr_pair(seed, n_genes=200, n_planted=10, noise_sd=0.2,
-                       bump_factor=3.0, lengthscale=20.0,
-                       profile_amplitude=1.0, bump_lengthscale=8.0):
+def make_diffexpr_pair(seed, n_genes=200, n_planted=10, noise_sd=0.2):
     """Two-condition expression data with a planted treatment response.
 
     Every gene follows one smooth profile sampled on the union time grid
     (control times are a subset of treatment times, so the null genes agree
     exactly up to white noise). The first n_planted genes additionally get a
-    shared treatment-only bump of amplitude bump_factor * noise_sd, with
+    shared treatment-only bump of amplitude BUMP_FACTOR * noise_sd, with
     random sign and mild scale jitter per gene; the bump varies on a shorter
     lengthscale than the profiles so it reads as a real treatment response
     rather than profile wiggle.
@@ -31,19 +33,19 @@ def make_diffexpr_pair(seed, n_genes=200, n_planted=10, noise_sd=0.2,
         gram = rbf_gram(t1, KernelSpec(scale, 0.0, ABSOLUTE))
         return np.linalg.cholesky(gram + 1e-10 * np.eye(t1.size))
 
-    profiles = smooth_chol(lengthscale) @ rng.standard_normal((t1.size, n_genes))
+    profiles = smooth_chol(PROFILE_LENGTHSCALE) @ rng.standard_normal((t1.size, n_genes))
     # unit sample variance per gene before scaling: every gene then carries
     # the same signal-to-noise ratio, whatever its draw happened to look like
-    profiles = profile_amplitude * profiles / profiles.std(axis=0)
+    profiles = PROFILE_AMPLITUDE * profiles / profiles.std(axis=0)
 
-    bump = smooth_chol(bump_lengthscale) @ rng.standard_normal(t1.size)
+    bump = smooth_chol(BUMP_LENGTHSCALE) @ rng.standard_normal(t1.size)
     bump = bump / bump.std()
     signs = rng.choice([-1.0, 1.0], size=n_planted)
     scales = rng.uniform(0.8, 1.2, size=n_planted)
 
     y1 = profiles + noise_sd * rng.standard_normal((t1.size, n_genes))
     y2 = profiles[control_idx] + noise_sd * rng.standard_normal((t2.size, n_genes))
-    y1[:, :n_planted] += bump_factor * noise_sd * np.outer(bump, signs * scales)
+    y1[:, :n_planted] += BUMP_FACTOR * noise_sd * np.outer(bump, signs * scales)
 
     labels = np.zeros(n_genes, dtype=int)
     labels[:n_planted] = 1
@@ -76,8 +78,7 @@ def draw_shared_private(truth, n, rng, orthogonal_latents=False):
 
 
 def make_shared_private(seed, n=500, d1=15, d2=12, q_shared=2, q1=1, q2=1,
-                        noise_sd=0.25, shared_scale=2.0, private_scale=1.5,
-                        mean_scale=2.0):
+                        noise_sd=0.25, shared_scale=2.0, private_scale=1.5):
     """Planted instance of the two-view shared/private latent model.
 
     Returns (y1, y2, truth) where truth holds the generating parameters:
@@ -93,7 +94,7 @@ def make_shared_private(seed, n=500, d1=15, d2=12, q_shared=2, q1=1, q2=1,
              "w2": private_scale * rng.standard_normal((d2, q2)),
              "sigma1_sq": noise_sd ** 2,
              "sigma2_sq": noise_sd ** 2,
-             "mu1": mean_scale * rng.standard_normal(d1),
-             "mu2": mean_scale * rng.standard_normal(d2)}
+             "mu1": MEAN_SCALE * rng.standard_normal(d1),
+             "mu2": MEAN_SCALE * rng.standard_normal(d2)}
     y1, y2 = draw_shared_private(truth, n, rng, orthogonal_latents=True)
     return y1, y2, truth

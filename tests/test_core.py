@@ -143,6 +143,13 @@ def test_fit_rejects_indefinite_gram():
         rca_fit(np.diag([1.0, -5.0]), ScaledIdentity(1.0))
 
 
+def test_fit_names_a_0d_gram():
+    # the gram is checked before the spec reads its size: an empty low-rank
+    # spec would otherwise fail inside numpy, on the minimum of no variances
+    with pytest.raises(ValueError, match=r"^gram must be 2-D .* got shape \(\)$"):
+        rca_fit(np.float64(1.0), LowRankPlusNoise(np.zeros((0, 0)), np.zeros(0)))
+
+
 @pytest.mark.parametrize("rank_tol", [-0.5, np.nan, np.inf])
 def test_fit_rejects_bad_rank_tol(rank_tol):
     # a negative tolerance would keep eigenvalues below 1 and take the

@@ -586,6 +586,27 @@ def test_failed_predict_leaves_outdir_unchanged(tmp_path, truth):
     assert {f.name: f.read_bytes() for f in pred.iterdir()} == before
 
 
+@pytest.mark.parametrize("name", ["v1.csv", "w2.csv", "mu1.csv"])
+def test_predict_rejects_a_model_block_the_manifest_contradicts(tmp_path, capsys, name):
+    # a model file cut to its first row would broadcast into a prediction
+    # of copied columns; its shape is checked against the manifest instead
+    shr = tmp_path / "shr"
+    assert run_cli("synth-shared", "--seed", "3", "-o", str(shr)) == 0
+    fit = tmp_path / "fit"
+    assert run_cli("itrca", "--y1", str(shr / "y1.csv"), "--y2", str(shr / "y2.csv"),
+                   "--alpha", "0.1", "-o", str(fit)) == 0
+    args = ("predict", "--model-dir", str(fit), "--y2", str(shr / "y2.csv"),
+            "--truth", str(shr / "y1.csv"), "-o", str(tmp_path / "pred"))
+    assert run_cli(*args) == 0
+    before = {f.name: f.read_bytes() for f in (tmp_path / "pred").iterdir()}
+    block = fit / name
+    block.write_text(block.read_text().splitlines()[0] + "\n")
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert f"ValueError: {name} has shape (1, " in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in (tmp_path / "pred").iterdir()} == before
+
+
 def test_itrca_with_no_iterations_fails_without_outdir(tmp_path, capsys):
     shr = tmp_path / "shr"
     assert run_cli("synth-shared", "--seed", "4", "--n", "250", "-o", str(shr)) == 0

@@ -214,8 +214,6 @@ def test_input_validation():
         iterative_rca(y1, y2, alpha=0.2, max_iter=0)
     with pytest.raises(ValueError, match="tol"):
         iterative_rca(y1, y2, alpha=0.2, tol=float("nan"))
-    with pytest.raises(ValueError, match="rank_margin"):
-        iterative_rca(y1, y2, alpha=0.2, rank_margin=-0.5)
 
 
 @pytest.mark.parametrize("fit", ["cca_fit", "cca_oracle", "iterative_rca",

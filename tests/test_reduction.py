@@ -324,8 +324,8 @@ def dense_specs(rng, p=P):
             "lowrank": LowRankPlusNoise(factors, 0.7)}
 
 
-# Each budget is also checked at p = ABOVE_LEAF, where L^{-1} is the blocked
-# inverse: its batched leaf inverse must count as the one inv.
+# Each budget is also checked at p = ABOVE_LEAF, where L^{-1} joins several
+# leaves: their batched inverse must count as the one inv.
 ABOVE_LEAF = 100
 
 
@@ -345,12 +345,7 @@ def test_dense_fit_factors_once_and_solves_once(lapack_calls, kind, p):
     if kind == "lowrank":
         assert lapack_calls == Counter(eigh=1, svd=1)
         return
-    if p > LEAF:
-        assert lapack_calls == Counter(eigh=1, cholesky=1, inv=1)
-    assert lapack_calls["eigh"] == 1
-    assert lapack_calls["cholesky"] <= 1 and lapack_calls["inv"] <= 1
-    assert sum(lapack_calls.values()) == (lapack_calls["eigh"] + lapack_calls["cholesky"]
-                                          + lapack_calls["inv"])
+    assert lapack_calls == Counter(eigh=1, cholesky=1, inv=1)
 
 
 def test_low_rank_fit_builds_no_dense_sigma(monkeypatch):
@@ -523,6 +518,8 @@ def test_fit_wrappers_check_gram_and_sigma_once(symmetry_checks):
 
 # Above LEAF and padded: 33 -> 2 x 17, 100 -> 4 x 25, 257 -> 16 x 17.
 BLOCKED_SIZES = (33, 100, 257)
+# One leaf (p <= LEAF): a single inv, then tril.
+ONE_LEAF_SIZES = (1, 12, LEAF)
 
 
 def graded_spd(rng, p):
@@ -532,14 +529,14 @@ def graded_spd(rng, p):
     return d[:, None] * random_spd(rng, p, shift=0.1) * d
 
 
-@pytest.mark.parametrize("p", BLOCKED_SIZES)
+@pytest.mark.parametrize("p", ONE_LEAF_SIZES + BLOCKED_SIZES)
 @pytest.mark.parametrize("kind", ["random", "graded"])
 def test_blocked_inverse_is_the_lower_triangular_inverse(p, kind):
     rng = np.random.default_rng(p)
     sigma = random_spd(rng, p, shift=0.1) if kind == "random" else graded_spd(rng, p)
     chol = np.linalg.cholesky(sigma)
     t = _tri_inv(chol)
-    assert p > LEAF and t.shape == (p, p)
+    assert t.shape == (p, p)
     assert not np.triu(t, 1).any()
     assert np.linalg.norm(t @ chol - np.eye(p)) <= 1e-12
     ref = np.linalg.inv(chol)
