@@ -2,7 +2,7 @@
 covariance structure left unexplained by a known positive-definite part,
 via a symmetric-definite generalized eigenvalue problem."""
 
-from .cca import CcaFit, cca_fit, cca_oracle
+from .cca import CcaFit, cca_fit
 from .core import (
     BlockDiagonal,
     Explicit,
@@ -36,7 +36,7 @@ __all__ = [
     "BlockDiagonal", "CcaFit", "Explicit", "GenEig", "KernelSpec",
     "LowRankPlusNoise", "NotPositiveDefiniteError", "RcaFit", "RocCurve",
     "ScaledIdentity", "ScoredRanking", "SharedPrivateModel", "TimeSeriesPair",
-    "cca_fit", "cca_oracle", "gen_eig_spd", "iterative_rca",
-    "joint_log_marginal", "log_marginal", "ppca_fit", "predict_view1",
-    "rbf_gram", "residual_scores", "rms_error", "roc_curve", "rca_fit",
+    "cca_fit", "gen_eig_spd", "iterative_rca", "joint_log_marginal",
+    "log_marginal", "ppca_fit", "predict_view1", "rbf_gram",
+    "residual_scores", "rms_error", "roc_curve", "rca_fit",
 ]

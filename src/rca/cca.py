@@ -4,7 +4,6 @@ Against Sigma = blockdiag(C11, C22) the joint covariance has generalized
 eigenvalues 1 +/- rho per canonical correlation rho, and 1 for the |d1 - d2|
 left over: whitening each view by its own factor leaves [[I, K], [K', I]] with
 K = T1 C12 T2', solved by one SVD of K (Bjorck & Golub, Math. Comp. 27, 1973).
-cca_oracle is an independent check of that equivalence.
 """
 
 from dataclasses import dataclass
@@ -93,24 +92,3 @@ def _cca_of_covariance(c, d1, n):
     return CcaFit(s1=s1, s2=s2, correlations=correlations,
                   v1=c11 @ s1 * root, v2=c22 @ s2 * root,
                   clamped=clamped, fit=fit)
-
-
-def cca_oracle(y1, y2):
-    """Canonical correlations by the direct route: singular spectrum of the
-    whitened cross-covariance. Independent of the generalized-eigenvalue
-    path; returns all min(d1, d2) correlations, descending."""
-    joint, mu1, _ = _center_views(y1, y2)
-    n, d1 = joint.shape[0], mu1.size
-    c = joint.T @ joint / n
-    c11, c22, c12 = c[:d1, :d1], c[d1:, d1:], c[:d1, d1:]
-
-    def inv_sqrt(m):
-        lam, u = np.linalg.eigh(m)
-        if lam.min() <= 1e-12 * lam.max():
-            raise np.linalg.LinAlgError("degenerate view covariance")
-        return (u / np.sqrt(lam)) @ u.T
-
-    m = inv_sqrt(c11) @ c12 @ np.linalg.inv(c22) @ c12.T @ inv_sqrt(c11)
-    lam = np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
-    rho2 = np.clip(lam, 0.0, None)[:min(c11.shape[0], c22.shape[0])]
-    return np.sqrt(rho2)

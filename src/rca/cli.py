@@ -26,6 +26,7 @@ from .core import (
 )
 from .diffexpr import TimeSeriesPair, residual_scores, roc_curve
 from .io import (
+    FLOAT_FMT,
     atomic_write_text,
     load_csv,
     read_manifest,
@@ -134,14 +135,15 @@ def cmd_diffexpr(args):
         "q_used": ranking.q_used,
     }
     artifacts = {"scores.csv": "gene_id,score,rank\n"
-                 + "%s,%.17g,%d\n" * len(gene_ids) % cells,
+                 + f"%s,{FLOAT_FMT},%d\n" * len(gene_ids) % cells,
                  "roc.csv": None}
     if args.labels:
         labels, _, _ = load_csv(args.labels)
         roc = roc_curve(ranking.scores, labels.ravel())
         table = np.column_stack([roc.thresholds, roc.points])
-        artifacts["roc.csv"] = ("threshold,fpr,tpr\n" + "%.17g,%.17g,%.17g\n" * len(table)
-                                % tuple(table.ravel().tolist()) + f"auc,{roc.auc:.17g},\n")
+        row = ",".join([FLOAT_FMT] * 3) + "\n"
+        artifacts["roc.csv"] = ("threshold,fpr,tpr\n" + row * len(table)
+                                % tuple(table.ravel().tolist()) + f"auc,{FLOAT_FMT % roc.auc},\n")
         manifest["auc"] = roc.auc
     return artifacts, manifest
 
@@ -172,12 +174,18 @@ def cmd_itrca(args):
 
 def load_model(model_dir):
     """Rebuild a fitted shared/private model from an itrca output directory."""
-    manifest = read_manifest(os.path.join(model_dir, "manifest.txt"))
-    if manifest.get("command") != "itrca":
+    path = os.path.join(model_dir, "manifest.txt")
+    manifest = read_manifest(path)
+
+    def entry(key):
+        if key not in manifest:
+            raise ValueError(f"{path} has no {key}= entry")
+        return manifest[key]
+
+    if entry("command") != "itrca":
         raise ValueError(f"{model_dir} is not an itrca output directory "
-                         f"(its manifest names command {manifest.get('command')!r})")
-    d1 = int(manifest["d1"])
-    d2 = int(manifest["d2"])
+                         f"(its manifest names command {manifest['command']!r})")
+    d1, d2, qs = int(entry("d1")), int(entry("d2")), int(entry("q_shared"))
 
     def block(name, rows, cols):
         m = load_csv(os.path.join(model_dir, name))[0] if cols else np.zeros((rows, 0))
@@ -186,18 +194,18 @@ def load_model(model_dir):
         return m
 
     return SharedPrivateModel(
-        w1=block("w1.csv", d1, int(manifest["q1"])),
-        w2=block("w2.csv", d2, int(manifest["q2"])),
-        v1=block("v1.csv", d1, int(manifest["q_shared"])),
-        v2=block("v2.csv", d2, int(manifest["q_shared"])),
-        sigma1_sq=float(manifest["sigma1_sq"]),
-        sigma2_sq=float(manifest["sigma2_sq"]),
+        w1=block("w1.csv", d1, int(entry("q1"))),
+        w2=block("w2.csv", d2, int(entry("q2"))),
+        v1=block("v1.csv", d1, qs),
+        v2=block("v2.csv", d2, qs),
+        sigma1_sq=float(entry("sigma1_sq")),
+        sigma2_sq=float(entry("sigma2_sq")),
         mu1=block("mu1.csv", d1, 1).ravel(),
         mu2=block("mu2.csv", d2, 1).ravel(),
-        alpha=float(manifest["alpha"]),
+        alpha=float(entry("alpha")),
         history=np.array([]),
-        converged=manifest.get("converged", "True") == "True",
-        n_iter=int(manifest.get("n_iter", "0")))
+        converged=entry("converged") == "True",
+        n_iter=int(entry("n_iter")))
 
 
 def cmd_predict(args):
@@ -210,7 +218,7 @@ def cmd_predict(args):
     if args.truth:
         truth, _, _ = load_csv(args.truth)
         rms = rms_error(pred, truth)
-        artifacts["rms.txt"] = f"rms={rms:.17g}\n"
+        artifacts["rms.txt"] = f"rms={FLOAT_FMT % rms}\n"
         manifest["rms"] = rms
     return artifacts, manifest
 
@@ -250,7 +258,6 @@ def _commit(args, artifacts, manifest):
     manifest is removed first, so a directory that has a manifest holds one
     whole run even when a commit fails midway."""
     out = args.outdir or os.environ.get("RCA_OUTDIR") or "."
-    os.makedirs(out, exist_ok=True)
     for name, value in {"manifest.txt": None, **artifacts}.items():
         path = os.path.join(out, name)
         value, header = value if isinstance(value, tuple) else (value, None)

@@ -7,7 +7,6 @@ and renamed into place, so readers never observe a half-written artifact.
 
 import contextlib
 import os
-import tempfile
 
 import numpy as np
 
@@ -128,17 +127,14 @@ def _parse_cells(path, lines, numbers, width, labeled):
 @contextlib.contextmanager
 def _atomic_file(path):
     """A text file opened on a temporary sibling of path and renamed onto
-    path when the block exits normally; removed if it raises."""
+    path when the block exits normally; removed if it raises. Created by a
+    plain exclusive open, so it gets the mode the umask gives any new file."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    # mkstemp creates 0600; give the mode open(path, "w") would. os.umask is
-    # the only way to read the mask, so a strict one is set meanwhile.
-    umask = os.umask(0o077)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            os.chmod(tmp, 0o666 & ~umask)
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

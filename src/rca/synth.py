@@ -6,10 +6,10 @@ from .kernels import ABSOLUTE, KernelSpec, rbf_gram
 
 TREATMENT_TIMES = np.arange(0.0, 241.0, 20.0)           # 13 points
 CONTROL_TIMES = np.array([0.0, 20.0, 40.0, 60.0, 120.0, 180.0, 240.0])
-# make_diffexpr_pair's profile and bump shapes; make_shared_private's mean scale
+# make_diffexpr_pair's profile and bump shapes; make_shared_private's scales
 PROFILE_AMPLITUDE, PROFILE_LENGTHSCALE = 1.0, 20.0
 BUMP_FACTOR, BUMP_LENGTHSCALE = 3.0, 8.0
-MEAN_SCALE = 2.0
+SHARED_SCALE, PRIVATE_SCALE, MEAN_SCALE = 2.0, 1.5, 2.0
 
 
 def make_diffexpr_pair(seed, n_genes=200, n_planted=10, noise_sd=0.2):
@@ -78,7 +78,7 @@ def draw_shared_private(truth, n, rng, orthogonal_latents=False):
 
 
 def make_shared_private(seed, n=500, d1=15, d2=12, q_shared=2, q1=1, q2=1,
-                        noise_sd=0.25, shared_scale=2.0, private_scale=1.5):
+                        noise_sd=0.25):
     """Planted instance of the two-view shared/private latent model.
 
     Returns (y1, y2, truth) where truth holds the generating parameters:
@@ -88,10 +88,10 @@ def make_shared_private(seed, n=500, d1=15, d2=12, q_shared=2, q1=1, q2=1,
     draw_shared_private with a new rng.
     """
     rng = np.random.default_rng(seed)
-    truth = {"v1": shared_scale * rng.standard_normal((d1, q_shared)),
-             "v2": shared_scale * rng.standard_normal((d2, q_shared)),
-             "w1": private_scale * rng.standard_normal((d1, q1)),
-             "w2": private_scale * rng.standard_normal((d2, q2)),
+    truth = {"v1": SHARED_SCALE * rng.standard_normal((d1, q_shared)),
+             "v2": SHARED_SCALE * rng.standard_normal((d2, q_shared)),
+             "w1": PRIVATE_SCALE * rng.standard_normal((d1, q1)),
+             "w2": PRIVATE_SCALE * rng.standard_normal((d2, q2)),
              "sigma1_sq": noise_sd ** 2,
              "sigma2_sq": noise_sd ** 2,
              "mu1": MEAN_SCALE * rng.standard_normal(d1),

@@ -1,8 +1,9 @@
 """Independent slow-path oracles the test suite checks the library against.
 
 Everything in here is deliberately written from first principles (rotation
-sweeps, power iteration, cofactor expansion, Gauss-Jordan) so it shares no
-code path with the implementations under test.
+sweeps, power iteration, cofactor expansion, Gauss-Jordan, the whitened
+cross-covariance of CCA) so it shares no code path with the implementations
+under test.
 """
 
 import math
@@ -137,6 +138,30 @@ def tipping_bishop_loadings(y, sigma2):
     lam, u = lam[order], u[:, order]
     keep = lam > sigma2
     return u[:, keep] * np.sqrt(lam[keep] - sigma2)
+
+
+def cca_correlations(y1, y2):
+    """Canonical correlations by the direct route: eigenvalues of the
+    whitened cross-covariance product C11^-1/2 C12 C22^-1 C21 C11^-1/2 of the
+    centred views (1/n convention). Returns all min(d1, d2) correlations,
+    descending; LinAlgError when a view's covariance is degenerate."""
+    y1 = np.asarray(y1, dtype=float)
+    y2 = np.asarray(y2, dtype=float)
+    n = y1.shape[0]
+    y1c = y1 - y1.mean(axis=0)
+    y2c = y2 - y2.mean(axis=0)
+    c11, c22, c12 = y1c.T @ y1c / n, y2c.T @ y2c / n, y1c.T @ y2c / n
+
+    def inv_sqrt(m):
+        lam, u = np.linalg.eigh(m)
+        if lam.min() <= 1e-12 * lam.max():
+            raise np.linalg.LinAlgError("degenerate view covariance")
+        return (u / np.sqrt(lam)) @ u.T
+
+    m = inv_sqrt(c11) @ c12 @ np.linalg.inv(c22) @ c12.T @ inv_sqrt(c11)
+    lam = np.linalg.eigvalsh(0.5 * (m + m.T))[::-1]
+    rho2 = np.clip(lam, 0.0, None)[:min(c11.shape[0], c22.shape[0])]
+    return np.sqrt(rho2)
 
 
 def principal_angles_deg(a, b):

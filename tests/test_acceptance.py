@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from rca.cca import cca_fit, cca_oracle
+from rca.cca import cca_fit
 from rca.cli import main as cli_main
 from rca.core import Explicit, log_marginal, ppca_fit, rca_fit
 from rca.diffexpr import TimeSeriesPair, residual_scores, roc_curve
@@ -14,7 +14,7 @@ from rca.kernels import ABSOLUTE, KernelSpec, rbf_gram
 from rca.linalg import gen_eig_spd
 from rca.synth import draw_shared_private, make_diffexpr_pair, make_shared_private
 
-from oracles import principal_angles_deg, tipping_bishop_loadings
+from oracles import cca_correlations, principal_angles_deg, tipping_bishop_loadings
 
 
 def report(name):
@@ -70,7 +70,7 @@ def test_cca_equivalence():
         y1 = shared @ rng.standard_normal((2, d1)) + rng.standard_normal((n, d1))
         y2 = shared @ rng.standard_normal((2, d2)) + rng.standard_normal((n, d2))
         fit = cca_fit(y1, y2)
-        oracle = cca_oracle(y1, y2)
+        oracle = cca_correlations(y1, y2)
         np.testing.assert_allclose(fit.correlations,
                                    oracle[:fit.correlations.size], atol=1e-8)
         values = fit.fit.eig.values

@@ -24,7 +24,6 @@ SIGNATURES = {
                            "rank_history", "start_rank"),
     "TimeSeriesPair": ("y1", "y2", "t1", "t2"),
     "cca_fit": ("y1", "y2"),
-    "cca_oracle": ("y1", "y2"),
     "gen_eig_spd": ("a", "sigma"),
     "iterative_rca": ("y1", "y2", "alpha", "tol", "max_iter"),
     "joint_log_marginal": ("model", "y1", "y2"),

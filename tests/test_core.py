@@ -78,6 +78,8 @@ def test_materialize_errors():
         LowRankPlusNoise(np.zeros((2, 0)), np.array([1.0, -1.0])).materialize(2)
     with pytest.raises(ValueError, match="block 1 must be square"):
         BlockDiagonal((np.eye(1), np.ones((1, 2)))).materialize(2)
+    with pytest.raises(ValueError, match="blocks sum to dimension 3, expected 2"):
+        BlockDiagonal((np.eye(1), np.eye(2))).materialize(2)
     # NaN and inf variances are named as such, without a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -197,6 +199,16 @@ def test_log_marginal_rejects_indefinite():
 def test_log_marginal_rejects_non_finite_x():
     with pytest.raises(ValueError, match="x contains non-finite"):
         log_marginal(np.ones((3, 2)), np.array([np.nan, 1.0, 1.0]), np.eye(3))
+
+
+@pytest.mark.parametrize("x, sigma, message", [
+    (None, np.eye(2), "sigma is 2x2, expected 3"),
+    (np.ones(2), np.eye(3), "x has 2 rows, expected 3"),
+    (np.ones((4, 1)), np.eye(3), "x has 4 rows, expected 3"),
+])
+def test_log_marginal_names_a_size_mismatch(x, sigma, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        log_marginal(np.ones((3, 2)), x, sigma)
 
 
 # ---------------------------------------------------------------- ppca_fit

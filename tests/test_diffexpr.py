@@ -160,6 +160,15 @@ def test_roc_rejects_single_class():
         roc_curve(np.array([1.0, 2.0]), np.array([1, 2]))
 
 
+@pytest.mark.parametrize("scores, labels", [
+    (np.array([1.0, 2.0, 3.0]), np.array([1, 0])),
+    (np.array([[1.0, 2.0]]), np.array([[1, 0]])),
+])
+def test_roc_rejects_mismatched_shapes(scores, labels):
+    with pytest.raises(ValueError, match="scores and labels must be matching 1-D vectors"):
+        roc_curve(scores, labels)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_roc_rejects_non_finite_scores(bad):
     # a NaN score would sort arbitrarily and give a meaningless AUC

@@ -234,13 +234,20 @@ def test_csv_memory_stays_within_a_few_file_sizes(tmp_path):
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
-def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
-    saved = os.umask(umask)
+def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, monkeypatch, umask, mode):
+    # the writes leave the process umask alone: they never even read it
+    set_umask = os.umask
+    saved = set_umask(umask)
+
+    def no_umask(mask):
+        raise AssertionError("an artifact write called os.umask")
+
+    monkeypatch.setattr(os, "umask", no_umask)
     try:
         save_csv(tmp_path / "m.csv", np.eye(2))
         atomic_write_text(tmp_path / "t.txt", "x\n")
     finally:
-        os.umask(saved)
+        set_umask(saved)
     assert (tmp_path / "m.csv").stat().st_mode & 0o777 == mode
     assert (tmp_path / "t.txt").stat().st_mode & 0o777 == mode
 
@@ -254,6 +261,9 @@ def test_manifest_round_trip(tmp_path):
     assert int(entries["q"]) == 3
     # sorted keys -> deterministic bytes
     assert p.read_text().splitlines()[0].startswith("alpha=")
+    # blank lines, as a hand edit may leave, are skipped
+    p.write_text("q=3\n\n  \ncommand=itrca\n")
+    assert read_manifest(p) == {"q": "3", "command": "itrca"}
 
 
 # ---------------------------------------------------------------- arg parsing
@@ -604,6 +614,26 @@ def test_predict_rejects_a_model_block_the_manifest_contradicts(tmp_path, capsys
     capsys.readouterr()
     assert run_cli(*args) == 1
     assert f"ValueError: {name} has shape (1, " in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in (tmp_path / "pred").iterdir()} == before
+
+
+@pytest.mark.parametrize("key", ["q1", "n_iter"])
+def test_predict_names_a_key_missing_from_the_manifest(tmp_path, capsys, key):
+    shr = tmp_path / "shr"
+    assert run_cli("synth-shared", "--seed", "3", "-o", str(shr)) == 0
+    fit = tmp_path / "fit"
+    assert run_cli("itrca", "--y1", str(shr / "y1.csv"), "--y2", str(shr / "y2.csv"),
+                   "--alpha", "0.1", "-o", str(fit)) == 0
+    args = ("predict", "--model-dir", str(fit), "--y2", str(shr / "y2.csv"),
+            "-o", str(tmp_path / "pred"))
+    assert run_cli(*args) == 0
+    before = {f.name: f.read_bytes() for f in (tmp_path / "pred").iterdir()}
+    manifest = fit / "manifest.txt"
+    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                if not line.startswith(f"{key}=")))
+    capsys.readouterr()
+    assert run_cli(*args) == 1
+    assert f"ValueError: {manifest} has no {key}= entry" in capsys.readouterr().err
     assert {f.name: f.read_bytes() for f in (tmp_path / "pred").iterdir()} == before
 
 

@@ -45,6 +45,19 @@ def test_fraction_mode_uses_data_variance():
     np.testing.assert_allclose(np.diag(gram), [1.04, 1.04])
     with pytest.raises(ValueError, match="data variance"):
         rbf_gram([0.0, 50.0], spec)
+    with pytest.raises(ValueError, match="data variance must be nonnegative, got -1.0"):
+        rbf_gram([0.0, 50.0], spec, data_variance=-1.0)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([[0.0, 20.0]], "times must be a nonempty 1-D vector"),
+    ([], "times must be a nonempty 1-D vector"),
+    ([0.0, np.nan], "times contain non-finite entries"),
+    ([np.inf, 20.0], "times contain non-finite entries"),
+])
+def test_rbf_gram_rejects_bad_times(times, message):
+    with pytest.raises(ValueError, match=message):
+        rbf_gram(times, KernelSpec(20.0, 0.1, ABSOLUTE))
 
 
 def test_spec_validation():

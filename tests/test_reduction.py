@@ -20,10 +20,12 @@ from rca.core import (
     ppca_fit,
     rca_fit,
 )
-from rca.cca import CORR_TOL, cca_fit, cca_oracle
+from rca.cca import CORR_TOL, cca_fit
 from rca.itrca import iterative_rca
 from rca.synth import make_shared_private
 from rca.linalg import JITTER_FLOOR, JITTER_SCALE, LEAF, NotPositiveDefiniteError, _tri_inv
+
+from oracles import cca_correlations
 
 P = 12
 N_OBS = 50
@@ -628,5 +630,5 @@ def test_closed_form_cca_is_the_full_joint_solve(d1, d2):
     assert (eig.values[m:p - m] == 1.0).all()
     s = eig.vectors
     assert (s[np.argmax(np.abs(s), axis=0), np.arange(p)] > 0).all()
-    np.testing.assert_allclose(fit.correlations, cca_oracle(y[:, :d1], y[:, d1:])[:fit.fit.q],
+    np.testing.assert_allclose(fit.correlations, cca_correlations(y[:, :d1], y[:, d1:])[:fit.fit.q],
                                rtol=0, atol=1e-12)
