@@ -28,10 +28,10 @@ from .diffexpr import TimeSeriesPair, residual_scores, roc_curve
 from .io import (
     FLOAT_FMT,
     atomic_write_text,
+    format_manifest,
     load_csv,
     read_manifest,
     save_csv,
-    write_manifest,
 )
 from .itrca import SharedPrivateModel, iterative_rca, predict_view1, rms_error
 from .kernels import ABSOLUTE, FRACTION, KernelSpec
@@ -76,19 +76,17 @@ def _kernel_spec(args):
 
 
 # ------------------------------------------------------------------ commands
-# Each returns (artifacts, manifest) and writes nothing; main hands both to
-# _commit. Artifacts map a file name to an array, an (array, header) pair or
-# a str; None or a zero-column block names a file this run does not produce.
+# Each returns (artifacts, results) and writes nothing; main hands both to
+# _commit, whose manifest is the run's arguments followed by the results.
+# Artifacts map a file name to an array, an (array, header) pair or a str;
+# None or a zero-column block names a file this run does not produce.
 
 def cmd_rca(args):
     gram, _, _ = load_csv(args.gram)
     fit = rca_fit(gram, parse_sigma_spec(args.sigma), n_obs=args.n_obs)
     return {"eigvals.csv": (fit.eig.values, ["eigenvalue"]),
             "loadings.csv": fit.loadings}, {
-        "command": "rca", "gram": args.gram, "sigma": args.sigma,
-        "n_obs": args.n_obs, "q": fit.q,
-        "log_likelihood": fit.log_likelihood,
-    }
+        "q": fit.q, "log_likelihood": fit.log_likelihood}
 
 
 def cmd_ppca(args):
@@ -96,9 +94,7 @@ def cmd_ppca(args):
     fit = ppca_fit(y, args.sigma2)
     return {"eigvals.csv": (fit.eig.values, ["eigenvalue"]),
             "loadings.csv": fit.loadings, "mean.csv": fit.mean}, {
-        "command": "ppca", "data": args.data, "sigma2": args.sigma2,
-        "q": fit.q, "log_likelihood": fit.log_likelihood,
-    }
+        "q": fit.q, "log_likelihood": fit.log_likelihood}
 
 
 def cmd_cca(args):
@@ -108,10 +104,8 @@ def cmd_cca(args):
     return {"correlations.csv": (fit.correlations, ["correlation"]),
             "s1.csv": fit.s1, "s2.csv": fit.s2,
             "v1.csv": fit.v1, "v2.csv": fit.v2}, {
-        "command": "cca", "y1": args.y1, "y2": args.y2,
         "q": fit.correlations.size, "clamped": fit.clamped,
-        "log_likelihood": fit.fit.log_likelihood,
-    }
+        "log_likelihood": fit.fit.log_likelihood}
 
 
 def cmd_diffexpr(args):
@@ -127,13 +121,9 @@ def cmd_diffexpr(args):
     cells = tuple(itertools.chain.from_iterable(zip(
         gene_ids, ranking.scores.tolist(), rank_of.tolist())))
 
-    manifest = {
-        "command": "diffexpr", "y1": args.y1, "y2": args.y2,
-        "lengthscale": spec.lengthscale, "noise_mode": spec.noise_mode,
-        "noise": spec.noise,
-        "standardize": not args.no_standardize,
-        "q_used": ranking.q_used,
-    }
+    # two flags decide the kernel noise, so the manifest records the one used
+    results = {"noise_mode": spec.noise_mode, "noise": spec.noise,
+               "q_used": ranking.q_used}
     artifacts = {"scores.csv": "gene_id,score,rank\n"
                  + f"%s,{FLOAT_FMT},%d\n" * len(gene_ids) % cells,
                  "roc.csv": None}
@@ -144,8 +134,14 @@ def cmd_diffexpr(args):
         row = ",".join([FLOAT_FMT] * 3) + "\n"
         artifacts["roc.csv"] = ("threshold,fpr,tpr\n" + row * len(table)
                                 % tuple(table.ravel().tolist()) + f"auc,{FLOAT_FMT % roc.auc},\n")
-        manifest["auc"] = roc.auc
-    return artifacts, manifest
+        results["auc"] = roc.auc
+    return artifacts, results
+
+
+# each itrca model block and the manifest keys of its rows and columns; a
+# block with no column key is a vector, saved as one column
+MODEL_BLOCKS = {"w1": ("d1", "q1"), "w2": ("d2", "q2"), "v1": ("d1", "q_shared"),
+                "v2": ("d2", "q_shared"), "mu1": ("d1", None), "mu2": ("d2", None)}
 
 
 def cmd_itrca(args):
@@ -156,14 +152,11 @@ def cmd_itrca(args):
     iterations = [(i, ll, q1, q2, qs) for i, (ll, (qs, q1, q2)) in
                   enumerate(zip(model.history, model.rank_history), start=1)]
     qs, q1, q2 = model.ranks
-    return {"w1.csv": model.w1, "w2.csv": model.w2,
-            "v1.csv": model.v1, "v2.csv": model.v2,
-            "mu1.csv": model.mu1, "mu2.csv": model.mu2,
-            "iterations.csv": (np.array(iterations), ["iteration", "log_likelihood",
-                                                      "q1", "q2", "q_shared"])}, {
-        "command": "itrca", "y1": args.y1, "y2": args.y2,
-        "alpha": model.alpha, "sigma1_sq": model.sigma1_sq,
-        "sigma2_sq": model.sigma2_sq,
+    artifacts = {f"{name}.csv": getattr(model, name) for name in MODEL_BLOCKS}
+    artifacts["iterations.csv"] = (np.array(iterations), ["iteration", "log_likelihood",
+                                                          "q1", "q2", "q_shared"])
+    return artifacts, {
+        "sigma1_sq": model.sigma1_sq, "sigma2_sq": model.sigma2_sq,
         "d1": model.mu1.size, "d2": model.mu2.size,
         "q1": q1, "q2": q2, "q_shared": qs, "q_start": model.start_rank,
         "converged": model.converged, "n_iter": model.n_iter,
@@ -177,50 +170,43 @@ def load_model(model_dir):
     path = os.path.join(model_dir, "manifest.txt")
     manifest = read_manifest(path)
 
-    def entry(key):
+    def entry(key, kind=str):
         if key not in manifest:
             raise ValueError(f"{path} has no {key}= entry")
-        return manifest[key]
+        text = manifest[key]
+        try:
+            return {"True": True, "False": False}[text] if kind is bool else kind(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"{path} has a malformed {key}= entry: {text!r}") from None
 
     if entry("command") != "itrca":
         raise ValueError(f"{model_dir} is not an itrca output directory "
                          f"(its manifest names command {manifest['command']!r})")
-    d1, d2, qs = int(entry("d1")), int(entry("d2")), int(entry("q_shared"))
 
     def block(name, rows, cols):
-        m = load_csv(os.path.join(model_dir, name))[0] if cols else np.zeros((rows, 0))
-        if m.shape != (rows, cols):
-            raise ValueError(f"{name} has shape {m.shape}, the manifest gives {(rows, cols)}")
-        return m
+        shape = (entry(rows, int), entry(cols, int) if cols else 1)
+        m = load_csv(os.path.join(model_dir, f"{name}.csv"))[0] if shape[1] else np.zeros(shape)
+        if m.shape != shape:
+            raise ValueError(f"{name}.csv has shape {m.shape}, the manifest gives {shape}")
+        return m if cols else m.ravel()
 
     return SharedPrivateModel(
-        w1=block("w1.csv", d1, int(entry("q1"))),
-        w2=block("w2.csv", d2, int(entry("q2"))),
-        v1=block("v1.csv", d1, qs),
-        v2=block("v2.csv", d2, qs),
-        sigma1_sq=float(entry("sigma1_sq")),
-        sigma2_sq=float(entry("sigma2_sq")),
-        mu1=block("mu1.csv", d1, 1).ravel(),
-        mu2=block("mu2.csv", d2, 1).ravel(),
-        alpha=float(entry("alpha")),
-        history=np.array([]),
-        converged=entry("converged") == "True",
-        n_iter=int(entry("n_iter")))
+        **{name: block(name, *keys) for name, keys in MODEL_BLOCKS.items()},
+        sigma1_sq=entry("sigma1_sq", float), sigma2_sq=entry("sigma2_sq", float),
+        alpha=entry("alpha", float), history=np.array([]),
+        converged=entry("converged", bool), n_iter=entry("n_iter", int))
 
 
 def cmd_predict(args):
     model = load_model(args.model_dir)
     y2, _, _ = load_csv(args.y2)
     pred = predict_view1(model, y2, mode=args.mode)
-    manifest = {"command": "predict", "model_dir": args.model_dir,
-                "y2": args.y2, "mode": args.mode}
-    artifacts = {"predictions.csv": pred, "rms.txt": None}
+    artifacts, results = {"predictions.csv": pred, "rms.txt": None}, {}
     if args.truth:
         truth, _, _ = load_csv(args.truth)
-        rms = rms_error(pred, truth)
+        rms = results["rms"] = rms_error(pred, truth)
         artifacts["rms.txt"] = f"rms={FLOAT_FMT % rms}\n"
-        manifest["rms"] = rms
-    return artifacts, manifest
+    return artifacts, results
 
 
 def cmd_synth_diffexpr(args):
@@ -228,10 +214,7 @@ def cmd_synth_diffexpr(args):
         args.seed, n_genes=args.genes, n_planted=args.planted,
         noise_sd=args.noise_sd)
     return {"y1.csv": y1, "y2.csv": y2, "t1.csv": t1, "t2.csv": t2,
-            "labels.csv": labels.astype(float)}, {
-        "command": "synth-diffexpr", "seed": args.seed, "genes": args.genes,
-        "planted": args.planted, "noise_sd": args.noise_sd,
-    }
+            "labels.csv": labels.astype(float)}, {}
 
 
 def cmd_synth_shared(args):
@@ -242,21 +225,20 @@ def cmd_synth_shared(args):
     artifacts = {"y1.csv": y1, "y2.csv": y2}
     for key in ("v1", "v2", "w1", "w2"):
         artifacts[f"{key}_true.csv"] = truth[key]
-    return artifacts, {
-        "command": "synth-shared", "seed": args.seed, "n": args.n,
-        "d1": args.d1, "d2": args.d2, "q_shared": args.q_shared,
-        "q1": args.q1, "q2": args.q2, "noise_sd": args.noise_sd,
-        "sigma1_sq_true": truth["sigma1_sq"],
-    }
+    return artifacts, {"sigma1_sq_true": truth["sigma1_sq"]}
 
 
-def _commit(args, artifacts, manifest):
+def _commit(args, artifacts, results):
     """Write a command's artifacts into the output directory (-o, else
-    $RCA_OUTDIR, else ., created if missing), then manifest.txt last. A
-    file an earlier run left under a name this run does not produce is
+    $RCA_OUTDIR, else ., created if missing), then manifest.txt last: every
+    argument given a value (the subcommand as command=), then the results.
+    A file an earlier run left under a name this run does not produce is
     removed, so it cannot outlive that run beside the new manifest. The old
     manifest is removed first, so a directory that has a manifest holds one
     whole run even when a commit fails midway."""
+    given = {key: value for key, value in vars(args).items()
+             if key not in ("func", "outdir") and value is not None}
+    text = format_manifest({**given, **results})  # raises before any file is touched
     out = args.outdir or os.environ.get("RCA_OUTDIR") or "."
     for name, value in {"manifest.txt": None, **artifacts}.items():
         path = os.path.join(out, name)
@@ -268,7 +250,7 @@ def _commit(args, artifacts, manifest):
         else:  # no dense-CSV form for a zero-column block; q is in the manifest
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
-    write_manifest(os.path.join(out, "manifest.txt"), manifest)
+    atomic_write_text(os.path.join(out, "manifest.txt"), text)
 
 
 # ------------------------------------------------------------------ wiring

@@ -171,15 +171,18 @@ def save_csv(path, matrix, header=None):
             fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
-def write_manifest(path, entries):
-    """Plain-text key=value manifest, one entry per line, sorted by key."""
+def format_manifest(entries):
+    """Plain-text key=value manifest, one entry per line, sorted by key.
+    A key or value holding a line break would forge or split an entry, so
+    it is rejected."""
     lines = []
     for key in sorted(entries):
         value = entries[key]
-        if isinstance(value, float):
-            value = FLOAT_FMT % value
-        lines.append(f"{key}={value}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        line = f"{key}={FLOAT_FMT % value if isinstance(value, float) else value}"
+        if "\n" in line or "\r" in line:
+            raise ValueError(f"manifest entry {key!r} holds a line break: {line!r}")
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def read_manifest(path):

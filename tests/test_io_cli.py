@@ -14,7 +14,7 @@ from rca.cli import build_parser, main, parse_sigma_spec, parse_times
 from rca.core import BlockDiagonal, Explicit, LowRankPlusNoise, ScaledIdentity
 from rca.diffexpr import ScoredRanking, TimeSeriesPair, residual_scores, roc_curve
 from rca.kernels import FRACTION, KernelSpec
-from rca.io import atomic_write_text, load_csv, read_manifest, save_csv, write_manifest
+from rca.io import atomic_write_text, format_manifest, load_csv, read_manifest, save_csv
 
 
 # ---------------------------------------------------------------- load_csv
@@ -254,7 +254,7 @@ def test_artifacts_get_the_mode_of_a_plain_open(tmp_path, monkeypatch, umask, mo
 
 def test_manifest_round_trip(tmp_path):
     p = tmp_path / "manifest.txt"
-    write_manifest(p, {"alpha": 0.1, "q": 3, "command": "itrca"})
+    atomic_write_text(p, format_manifest({"alpha": 0.1, "q": 3, "command": "itrca"}))
     entries = read_manifest(p)
     assert entries["command"] == "itrca"
     assert float(entries["alpha"]) == 0.1
@@ -264,6 +264,12 @@ def test_manifest_round_trip(tmp_path):
     # blank lines, as a hand edit may leave, are skipped
     p.write_text("q=3\n\n  \ncommand=itrca\n")
     assert read_manifest(p) == {"q": "3", "command": "itrca"}
+
+
+@pytest.mark.parametrize("entry", [{"y2": "a\nq1=0"}, {"y2": "a\rb"}, {"y\n2": "a"}])
+def test_manifest_rejects_a_line_break(entry):
+    with pytest.raises(ValueError, match="manifest entry 'y"):
+        format_manifest({"command": "itrca", **entry})
 
 
 # ---------------------------------------------------------------- arg parsing
@@ -617,8 +623,9 @@ def test_predict_rejects_a_model_block_the_manifest_contradicts(tmp_path, capsys
     assert {f.name: f.read_bytes() for f in (tmp_path / "pred").iterdir()} == before
 
 
-@pytest.mark.parametrize("key", ["q1", "n_iter"])
-def test_predict_names_a_key_missing_from_the_manifest(tmp_path, capsys, key):
+def predict_after_editing_the_model_manifest(tmp_path, capsys, key, line):
+    """Run predict, replace the model manifest's key= line by line and rerun
+    it: the rerun fails and leaves -o as it was. Returns its stderr."""
     shr = tmp_path / "shr"
     assert run_cli("synth-shared", "--seed", "3", "-o", str(shr)) == 0
     fit = tmp_path / "fit"
@@ -629,12 +636,41 @@ def test_predict_names_a_key_missing_from_the_manifest(tmp_path, capsys, key):
     assert run_cli(*args) == 0
     before = {f.name: f.read_bytes() for f in (tmp_path / "pred").iterdir()}
     manifest = fit / "manifest.txt"
-    manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
-                                if not line.startswith(f"{key}=")))
+    manifest.write_text("".join(line if old.startswith(f"{key}=") else old
+                                for old in manifest.read_text().splitlines(True)))
     capsys.readouterr()
     assert run_cli(*args) == 1
-    assert f"ValueError: {manifest} has no {key}= entry" in capsys.readouterr().err
     assert {f.name: f.read_bytes() for f in (tmp_path / "pred").iterdir()} == before
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["q1", "n_iter"])
+def test_predict_names_a_key_missing_from_the_manifest(tmp_path, capsys, key):
+    err = predict_after_editing_the_model_manifest(tmp_path, capsys, key, "")
+    assert f"ValueError: {tmp_path / 'fit' / 'manifest.txt'} has no {key}= entry" in err
+
+
+@pytest.mark.parametrize("key, value", [("q1", "one"), ("alpha", ""), ("converged", "yes")])
+def test_predict_names_a_malformed_manifest_value(tmp_path, capsys, key, value):
+    err = predict_after_editing_the_model_manifest(tmp_path, capsys, key, f"{key}={value}\n")
+    manifest = tmp_path / "fit" / "manifest.txt"
+    assert f"ValueError: {manifest} has a malformed {key}= entry: {value!r}" in err
+
+
+def test_a_line_break_in_an_argument_leaves_the_outdir_as_it_was(tmp_path, capsys):
+    # a y2 path holding "\nq1=0\n" would forge a q1 entry that predict reads back
+    shr = tmp_path / "shr"
+    assert run_cli("synth-shared", "--seed", "4", "--n", "250", "-o", str(shr)) == 0
+    forged = shr / "y2\nq1=0\nz"
+    forged.write_bytes((shr / "y2.csv").read_bytes())
+    fit = tmp_path / "fit"
+    args = ("itrca", "--y1", str(shr / "y1.csv"), "--alpha", "0.1", "-o", str(fit))
+    assert run_cli(*args, "--y2", str(shr / "y2.csv")) == 0
+    before = {f.name: f.read_bytes() for f in fit.iterdir()}
+    capsys.readouterr()
+    assert run_cli(*args, "--y2", str(forged)) == 1
+    assert "ValueError: manifest entry 'y2' holds a line break" in capsys.readouterr().err
+    assert {f.name: f.read_bytes() for f in fit.iterdir()} == before
 
 
 def test_itrca_with_no_iterations_fails_without_outdir(tmp_path, capsys):
@@ -866,10 +902,20 @@ def test_commands_compute_without_writing(inputs, tmp_path):
     out = tmp_path / "never"
     for name in commands:
         args = parser.parse_args(COMMANDS[name].format(inputs).split() + ["-o", str(out)])
-        artifacts, manifest = args.func(args)
-        assert isinstance(artifacts, dict) and isinstance(manifest, dict)
-        assert manifest["command"] == name
+        artifacts, results = args.func(args)
+        assert isinstance(artifacts, dict) and isinstance(results, dict)
+        assert not set(results) & set(vars(args))  # results never restate an argument
         assert not out.exists()
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_manifest_records_every_given_argument(inputs, tmp_path, name):
+    argv = COMMANDS[name].format(inputs).split()
+    assert run_cli(*argv, "-o", str(tmp_path / "out")) == 0
+    given = {key: value for key, value in vars(build_parser().parse_args(argv)).items()
+             if key not in ("func", "outdir") and value is not None}
+    written = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert set(format_manifest(given).splitlines()) <= set(written)
 
 
 # ---------------------------------------------------------------- crash mid-commit

@@ -170,6 +170,29 @@ def test_warm_start_keeps_a_duplicated_column_shared(monkeypatch):
             assert warm.ranks[0] >= cold.ranks[0]
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("alpha", [0.1, 0.3])
+@pytest.mark.parametrize("symmetry", ["rotate", "swap", "permute_rows"])
+def test_two_view_symmetries_keep_ranks_and_likelihood(seed, alpha, symmetry):
+    # per-view orthogonal rotations and a row permutation leave every view
+    # and cross spectrum as it was; swapping the views swaps the private ranks
+    y1, y2, _ = make_shared_private(seed)
+    rng = np.random.default_rng(100 + seed)
+    base = iterative_rca(y1, y2, alpha)
+    qs, q1, q2 = base.ranks
+    if symmetry == "rotate":
+        r1, r2 = (np.linalg.qr(rng.standard_normal((y.shape[1],) * 2))[0] for y in (y1, y2))
+        fit, ranks = iterative_rca(y1 @ r1, y2 @ r2, alpha), (qs, q1, q2)
+    elif symmetry == "swap":
+        fit, ranks = iterative_rca(y2, y1, alpha), (qs, q2, q1)
+    else:
+        perm = rng.permutation(y1.shape[0])
+        fit, ranks = iterative_rca(y1[perm], y2[perm], alpha), (qs, q1, q2)
+    assert tuple(fit.ranks) == ranks
+    assert fit.converged == base.converged
+    assert fit.history[-1] == pytest.approx(base.history[-1], rel=1e-12)
+
+
 def test_history_monotone_on_planted_instance():
     y1, y2, _ = make_shared_private(0)
     model = iterative_rca(y1, y2, alpha=0.1)

@@ -1,6 +1,6 @@
 """Equivalences the generalized reduction must keep whatever route it takes:
-covariance specs against their dense forms, joint scaling, the likelihood
-against a direct evaluation, and the jitter and semidefiniteness rules at
+covariance specs against their dense forms, joint scaling and congruence,
+the likelihood against a direct evaluation, and the jitter and semidefiniteness rules at
 their thresholds."""
 
 import warnings
@@ -203,6 +203,30 @@ def test_joint_scaling_shifts_only_the_likelihood(seed, c):
     shift = -0.5 * N_OBS * P * np.log(c)
     assert scaled.log_likelihood == pytest.approx(base.log_likelihood + shift,
                                                   rel=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_congruence_maps_the_loadings_and_shifts_the_likelihood(seed):
+    # G -> M G M' and Sigma -> M Sigma M' keep the generalized spectrum and
+    # send S to M^{-T} S, so the loadings Sigma S (D - I)^{1/2} to M times them.
+    # A sample gram keeps its spectrum off the unit threshold, where rounding
+    # of order cond(M)^2 eps would move q.
+    rng = np.random.default_rng(400 + seed)
+    p = 30
+    sigma = random_spd(rng, p)
+    y = np.linalg.cholesky(planted_gram(rng, sigma)) @ rng.standard_normal((p, N_OBS))
+    gram = y @ y.T / N_OBS
+    m = np.eye(p) + 0.3 * rng.standard_normal((p, p))
+    base = rca_fit(gram, Explicit(sigma), n_obs=N_OBS)
+    fit = rca_fit(m @ gram @ m.T, Explicit(m @ sigma @ m.T), n_obs=N_OBS)
+    assert fit.q == base.q
+    np.testing.assert_allclose(fit.eig.values, base.eig.values, rtol=0,
+                               atol=1e-8 * base.eig.values.max())
+    mapped = m @ base.loadings
+    signs = np.sign(np.sum(mapped * fit.loadings, axis=0))
+    assert np.linalg.norm(fit.loadings * signs - mapped) <= 1e-7 * np.linalg.norm(mapped)
+    shift = -N_OBS * np.linalg.slogdet(m)[1]
+    assert fit.log_likelihood == pytest.approx(base.log_likelihood + shift, rel=1e-8)
 
 
 @pytest.mark.parametrize("seed", range(5))
