@@ -26,19 +26,8 @@ LOW_RANK_LIMIT = 1e5
 
 # ------------------------------------------------------------------ covariance specs
 #
-# Each spec checks only what it was given. rca_fit reduces a LowRankPlusNoise
-# by its parts and checks the gram once; other specs build the dense Sigma,
-# and gen_eig_spd checks the gram and Sigma (finite, square, symmetric).
-
-@dataclass(frozen=True)
-class ScaledIdentity:
-    variance: float
-
-    def materialize(self, dim):
-        if not 0 < self.variance < np.inf:
-            raise ValueError(f"variance must be finite and positive, got {self.variance}")
-        return self.variance * np.eye(dim)
-
+# Each spec checks only what it was given. rca_fit reduces a spec with parts by
+# them, checking the gram once; gen_eig_spd checks the gram and any dense Sigma.
 
 @dataclass(frozen=True)
 class Explicit:
@@ -74,6 +63,19 @@ class LowRankPlusNoise:
     def materialize(self, dim):
         f, v = self.parts(dim)
         return f @ f.T + v * np.eye(dim)
+
+
+@dataclass(frozen=True)
+class ScaledIdentity:
+    variance: float
+
+    def parts(self, dim):
+        """(F, variance) of variance * I: F has dim rows and no columns."""
+        if not 0 < self.variance < np.inf:
+            raise ValueError(f"variance must be finite and positive, got {self.variance}")
+        return np.zeros((dim, 0)), np.asarray(self.variance, dtype=float)
+
+    materialize = LowRankPlusNoise.materialize
 
 
 @dataclass(frozen=True)
@@ -129,10 +131,10 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
         explained part; must be positive definite after the jitter policy.
     n_obs : finite and positive: the number of i.i.d. vectors the Gram
         averages; only scales the reported log-likelihood.
-    rank_tol : finite and nonnegative; eigenvalues in (1, 1 + rank_tol]
-        count as noise. The strict default suits exactly-built Grams;
-        callers fitting sample covariances should allow for sampling
-        fluctuation around 1.
+    rank_tol : finite, nonnegative and absolute; eigenvalues in (1, 1 +
+        rank_tol] count as noise. The strict default suits exactly-built
+        Grams with a well-conditioned Sigma (rounding puts their bulk within
+        ~cond(Sigma) eps of 1); sample covariances need room for sampling.
 
     Returns
     -------
@@ -166,9 +168,9 @@ def _fit_of_spectrum(eig, times, n_obs, rank_tol):
 
 
 def _reduce(gram, spec, p):
-    """(GenEig, trace(Sigma), S -> Sigma S), Sigma with any jitter. A LowRankPlusNoise
+    """(GenEig, trace(Sigma), S -> Sigma S), Sigma with any jitter. A spec with parts
     clear of the jitter floor (so none can fire) and of LOW_RANK_LIMIT skips Sigma."""
-    if isinstance(spec, LowRankPlusNoise):
+    if hasattr(spec, "parts"):
         f, v = spec.parts(p)
         rows = np.einsum("ij,ij->i", f, f)  # squared row norms of F
         trace = np.sum(v + rows)

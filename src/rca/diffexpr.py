@@ -69,9 +69,7 @@ def residual_scores(pair, spec, standardize=True):
     """
     y = np.vstack([pair.y1, pair.y2])
     times = np.concatenate([pair.t1, pair.t2])
-    n, d = y.shape
-    if n < 2:
-        raise ValueError("need at least two stacked time points")
+    d = y.shape[1]  # TimeSeriesPair gives each series a row, so y has at least two
 
     scale = np.abs(y).max(axis=0)
     y = y - y.mean(axis=0)

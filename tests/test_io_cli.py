@@ -1,5 +1,8 @@
 import argparse
+import hashlib
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -325,6 +328,35 @@ def test_cli_failure_is_single_line(tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith("error: rca:")
     assert not out.exists()
+
+
+def run_module(tmp_path, *argv):
+    """`python -m rca.cli argv` in a child process, with src on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(rca.cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "RCA_OUTDIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    return subprocess.run([sys.executable, "-m", "rca.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    done = run_module(tmp_path, "synth-shared", "--seed", "1", "--n", "40", "-o", "shr")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert read_manifest(tmp_path / "shr" / "manifest.txt")["command"] == "synth-shared"
+    assert load_csv(tmp_path / "shr" / "y1.csv")[0].shape == (40, 15)
+
+    done = run_module(tmp_path, "rca", "--gram", "missing.csv", "--sigma", "identity:1",
+                      "-o", "out")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("error: rca: FileNotFoundError:")
+    assert not (tmp_path / "out").exists()
+
+    done = run_module(tmp_path, "rca", "--sigma", "identity:1")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: ")
+    assert "the following arguments are required: --gram" in done.stderr
 
 
 def test_failed_diffexpr_leaves_no_artifacts(tmp_path):
@@ -855,6 +887,8 @@ COMMANDS = {
     "predict-no-truth": "predict --model-dir {0}/fit --y2 {0}/shr/y2.csv",
     "synth-diffexpr": "synth-diffexpr --seed 3 --genes 20 --planted 2",
     "synth-shared": "synth-shared --seed 5 --n 60",
+    "synth-diffexpr-reseed": "synth-diffexpr --seed 4 --genes 20 --planted 2",
+    "synth-shared-reseed": "synth-shared --seed 6 --n 60",
 }
 
 LOADINGS = {"eigvals.csv", "loadings.csv", "manifest.txt"}
@@ -920,8 +954,19 @@ def test_manifest_records_every_given_argument(inputs, tmp_path, name):
 
 # ---------------------------------------------------------------- crash mid-commit
 
-@pytest.mark.parametrize("first, rerun", [("rca", "rca-q0"), ("rca-q0", "rca"),
-                                          ("itrca", "itrca-q0"), ("itrca-q0", "itrca")])
+def file_hashes(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+
+
+# each subcommand's run and its variant that writes fewer files, in both orders,
+# and the two synth commands rerun with another seed
+RERUNS = [pair for a, b in [("rca", "rca-q0"), ("itrca", "itrca-q0"), ("ppca", "ppca-q0"),
+                            ("cca", "cca-q0"), ("diffexpr", "diffexpr-no-labels"),
+                            ("predict", "predict-no-truth")] for pair in ((a, b), (b, a))]
+RERUNS += [("synth-diffexpr", "synth-diffexpr-reseed"), ("synth-shared", "synth-shared-reseed")]
+
+
+@pytest.mark.parametrize("first, rerun", RERUNS)
 def test_failed_rename_leaves_the_previous_run_or_no_manifest(
         inputs, tmp_path, monkeypatch, first, rerun):
     # fail the k-th os.replace of the rerun, for every k the rerun reaches
@@ -929,7 +974,7 @@ def test_failed_rename_leaves_the_previous_run_or_no_manifest(
     for k in range(1, 20):
         out = tmp_path / f"out{k}"
         assert run_cli(*COMMANDS[first].format(inputs).split(), "-o", str(out)) == 0
-        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        before = file_hashes(out)
         calls = [0]
 
         def failing(src, dst, _k=k):
@@ -944,7 +989,7 @@ def test_failed_rename_leaves_the_previous_run_or_no_manifest(
         if code == 0:  # k is past the rerun's last rename
             assert k > 2
             break
-        after = {f.name: f.read_bytes() for f in out.iterdir()}
+        after = file_hashes(out)
         assert not any(name.startswith(".tmp-") for name in after)
         assert after == before or "manifest.txt" not in after, k
     else:

@@ -375,14 +375,37 @@ def test_dense_fit_factors_once_and_solves_once(lapack_calls, kind, p):
 
 
 def test_low_rank_fit_builds_no_dense_sigma(monkeypatch):
-    def forbidden(self, dim):
+    # a ScaledIdentity, and so ppca_fit, reduces as a LowRankPlusNoise with no
+    # factor columns: neither builds Sigma or takes gen_eig_spd's dense route
+    def forbidden(*args):
         raise AssertionError("dense Sigma built")
 
     rng = np.random.default_rng(907)
     spec = LowRankPlusNoise(rng.standard_normal((P, 3)), rng.uniform(0.2, 2.0, P))
     gram = planted_gram(rng, np.eye(P))
-    monkeypatch.setattr(LowRankPlusNoise, "materialize", forbidden)
+    for cls in (LowRankPlusNoise, ScaledIdentity):
+        monkeypatch.setattr(cls, "materialize", forbidden)
+    monkeypatch.setattr("rca.core.gen_eig_spd", forbidden)
     assert rca_fit(gram, spec).eig.jitter == 0.0
+    assert rca_fit(gram, ScaledIdentity(0.8)).eig.jitter == 0.0
+    assert ppca_fit(rng.standard_normal((40, P)), 0.5).mean.shape == (P,)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("variance", [1e-3, 0.8, 7.5])
+def test_scaled_identity_is_bitwise_the_factor_free_low_rank_fit(seed, variance):
+    # the spec, its factor-free LowRankPlusNoise and the raw v I array (which
+    # gen_eig_spd's scan sends to the same solve) give the same bytes
+    rng = np.random.default_rng(seed)
+    gram = planted_gram(rng, variance * np.eye(P))
+    ref = rca_fit(gram, ScaledIdentity(variance))
+    for sigma in (LowRankPlusNoise(np.zeros((P, 0)), variance), variance * np.eye(P)):
+        fit = rca_fit(gram, sigma)
+        for a, b in ((fit.eig.values, ref.eig.values), (fit.eig.vectors, ref.eig.vectors),
+                     (fit.loadings, ref.loadings)):
+            assert np.array_equal(a, b)
+        assert fit.log_likelihood == ref.log_likelihood
+        assert fit.q == ref.q == 3
 
 
 @pytest.mark.parametrize("kind,p", [
@@ -514,14 +537,14 @@ def symmetry_checks(monkeypatch):
 @pytest.mark.parametrize("kind", ["explicit", "identity", "lowrank", "blocks"])
 def test_each_fit_checks_gram_and_sigma_once(symmetry_checks, kind):
     # gen_eig_spd checks the gram and the dense Sigma; the specs check shapes.
-    # A low-rank spec has no square Sigma: it checks its factors and
-    # variances itself, so only the gram gets a symmetry check.
+    # A spec with parts (low-rank, scaled identity) has no square Sigma: it
+    # checks its own parts, so only the gram gets a symmetry check.
     rng = np.random.default_rng(903)
     specs = dict(dense_specs(rng), identity=ScaledIdentity(0.8))
     gram = planted_gram(rng, np.eye(P))
     symmetry_checks[0] = 0
     rca_fit(gram, specs[kind])
-    assert symmetry_checks[0] == (1 if kind == "lowrank" else 2)
+    assert symmetry_checks[0] == (1 if kind in ("lowrank", "identity") else 2)
 
 
 def test_fit_wrappers_check_gram_and_sigma_once(symmetry_checks):
@@ -529,10 +552,12 @@ def test_fit_wrappers_check_gram_and_sigma_once(symmetry_checks):
     y = rng.standard_normal((60, 9))
     y1, y2, t1, t2, _ = make_diffexpr_pair(3, n_genes=40)
     pair = TimeSeriesPair(y1, y2, t1, t2)
-    for fit in (lambda: ppca_fit(y, 0.5), lambda: residual_scores(pair, KernelSpec())):
+    # ppca_fit's Sigma is a ScaledIdentity, so only its gram is checked
+    for fit, checks in ((lambda: ppca_fit(y, 0.5), 1),
+                        (lambda: residual_scores(pair, KernelSpec()), 2)):
         symmetry_checks[0] = 0
         fit()
-        assert symmetry_checks[0] == 2
+        assert symmetry_checks[0] == checks
     # cca_fit forms its gram as joint' joint, symmetric by construction, and
     # whitens the views' diagonal blocks of it: there is nothing to check
     symmetry_checks[0] = 0
