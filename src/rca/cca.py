@@ -21,7 +21,8 @@ CORR_TOL = 1e-8
 @dataclass(frozen=True)
 class CcaFit:
     """Canonical directions (per-view normalized), correlations and the
-    probabilistic loadings; fit keeps the underlying joint solve."""
+    probabilistic loadings v_i = C_ii s_i sqrt(rho), sqrt(2) times the view rows
+    of fit.loadings (so C_ii carries any jitter); fit keeps the joint solve."""
     s1: np.ndarray
     s2: np.ndarray
     correlations: np.ndarray
@@ -77,9 +78,7 @@ def _cca_of_covariance(c, d1, n):
         pair = [np.vstack([a[:, :m], sign * b[:, :m]]) * np.sqrt(0.5) for sign in (1, -1)]
         s = np.hstack([pair[0], _block_diag([a[:, m:], b[:, m:]]), pair[1][:, ::-1]])
         values = np.concatenate([1.0 + rho, np.ones(c.shape[0] - 2 * m), 1.0 - rho[::-1]])
-        fit = _fit_of_spectrum(GenEig(values, _signed(s), logdet1 + logdet2, 0.0),
-                               lambda x: np.vstack([c11 @ x[:d1], c22 @ x[d1:]]),
-                               n, CORR_TOL)
+        fit = _fit_of_spectrum(GenEig(values, _signed(s), logdet1 + logdet2, 0.0), c, n, CORR_TOL)
 
     correlations = fit.eig.values[:fit.q] - 1.0
     clamped = bool((correlations > 1.0).any())
@@ -88,7 +87,6 @@ def _cca_of_covariance(c, d1, n):
     # The joint vectors are blkdiag-orthonormal, so each view block carries
     # half the unit norm; sqrt(2) restores per-view normalization.
     s1, s2 = np.split(fit.eig.vectors[:, :fit.q] * np.sqrt(2.0), [d1])
-    root = np.sqrt(correlations)
-    return CcaFit(s1=s1, s2=s2, correlations=correlations,
-                  v1=c11 @ s1 * root, v2=c22 @ s2 * root,
+    v1, v2 = np.split(fit.loadings * np.sqrt(2.0), [d1])
+    return CcaFit(s1=s1, s2=s2, correlations=correlations, v1=v1, v2=v2,
                   clamped=clamped, fit=fit)

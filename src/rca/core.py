@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (JITTER_FLOOR, GenEig, _whitener, as_matrix, check_square_symmetric,
-                     gen_eig_lowrank, gen_eig_spd)
+from .linalg import (JITTER_FLOOR, GenEig, _frobenius, _whitener, as_matrix,
+                     check_square_symmetric, gen_eig_lowrank, gen_eig_spd)
 
 # Eigenvalues within RANK_TOL above 1 are treated as noise and dropped.
 RANK_TOL = 1e-10
@@ -110,7 +110,7 @@ class RcaFit:
     """Result of one residual-component solve.
 
     eig holds the full generalized spectrum; q counts eigenvalues above 1;
-    loadings is Sigma S_q (D_q - I)^{1/2}, with zero columns when q = 0.
+    loadings is Sigma S_q (D_q - I)^{1/2}, Sigma with any jitter (zero columns if q = 0).
     """
     eig: GenEig
     q: int
@@ -145,21 +145,22 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     if not 0.0 <= rank_tol < np.inf:
         raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
     gram = as_matrix(gram, "gram")  # the reduction checks its symmetry
-    eig, trace, times = _reduce(gram, sigma if hasattr(sigma, "materialize")
-                                else Explicit(sigma), gram.shape[0])
+    eig, trace = _reduce(gram, sigma if hasattr(sigma, "materialize")
+                         else Explicit(sigma), gram.shape[0])
     # Sylvester's inertia: lambda_min(G) >= min(d_min, 0) trace(Sigma), which
     # settles semidefiniteness unless that bound falls below the floor.
-    floor = -1e-8 * max(np.linalg.norm(gram), 1e-300)
+    floor = -1e-8 * np.ldexp(*_frobenius(gram))
     if eig.values[-1] * trace < floor and np.linalg.eigvalsh(gram).min() < floor:
         raise ValueError("gram matrix is not positive semidefinite")
-    return _fit_of_spectrum(eig, times, n_obs, rank_tol)
+    return _fit_of_spectrum(eig, gram, n_obs, rank_tol)
 
 
-def _fit_of_spectrum(eig, times, n_obs, rank_tol):
-    """The RcaFit of a solved spectrum; times maps S to Sigma S."""
+def _fit_of_spectrum(eig, gram, n_obs, rank_tol):
+    """The RcaFit of gram's solved spectrum: as G S = Sigma S D, the loadings are
+    G S_q D_q^{-1} (D_q - I)^{1/2} for whichever Sigma the route whitened."""
     d = eig.values
     q = int(np.sum(d > 1.0 + rank_tol))
-    loadings = times(eig.vectors[:, :q]) * np.sqrt(d[:q] - 1.0)
+    loadings = gram @ (eig.vectors[:, :q] * (np.sqrt(d[:q] - 1.0) / d[:q]))
     # At the ML solution K = X X' + Sigma has log|K| = log|Sigma| +
     # sum_{i<=q} log d_i and trace(K^{-1} G) = q + sum_{i>q} d_i.
     ll = -0.5 * n_obs * (eig.sigma_logdet + np.log(d[:q]).sum() + q + d[q:].sum()
@@ -168,18 +169,17 @@ def _fit_of_spectrum(eig, times, n_obs, rank_tol):
 
 
 def _reduce(gram, spec, p):
-    """(GenEig, trace(Sigma), S -> Sigma S), Sigma with any jitter. A spec with parts
-    clear of the jitter floor (so none can fire) and of LOW_RANK_LIMIT skips Sigma."""
+    """(GenEig, trace(Sigma)), Sigma with any jitter. A spec with parts clear of
+    the jitter floor (so none can fire) and of LOW_RANK_LIMIT skips Sigma."""
     if hasattr(spec, "parts"):
         f, v = spec.parts(p)
         rows = np.einsum("ij,ij->i", f, f)  # squared row norms of F
         trace = np.sum(v + rows)
         if v.min() * p > JITTER_FLOOR * trace and np.sum(rows / v) <= LOW_RANK_LIMIT:
-            eig = gen_eig_lowrank(check_square_symmetric(gram, "gram"), f, v)
-            return eig, trace, lambda s: np.reshape(v, (-1, 1)) * s + f @ (f.T @ s)
+            return gen_eig_lowrank(check_square_symmetric(gram, "gram"), f, v), trace
     sig = spec.materialize(p)
     eig = gen_eig_spd(gram, sig)
-    return eig, np.trace(sig) + p * eig.jitter, lambda s: sig @ s + eig.jitter * s
+    return eig, np.trace(sig) + p * eig.jitter
 
 
 def log_marginal(y, x, sigma):

@@ -82,14 +82,9 @@ def residual_scores(pair, spec, standardize=True):
 
     k = rbf_gram(times, spec, data_variance=data_variance)
     fit = rca_fit(y @ y.T / d, Explicit(k))
-    q = fit.q
-    if q == 0:
-        scores = np.zeros(d)
-    else:
-        projected = fit.eig.vectors[:, :q].T @ y
-        scores = np.linalg.norm(projected, axis=0)
+    scores = np.linalg.norm(fit.eig.vectors[:, :fit.q].T @ y, axis=0)  # zeros when q = 0
     order = np.argsort(-scores, kind="stable")
-    return ScoredRanking(scores=scores, order=order, q_used=q)
+    return ScoredRanking(scores=scores, order=order, q_used=fit.q)
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,7 @@ def roc_curve(scores, labels):
     sorted_scores = scores[order]
     sorted_labels = labels[order].astype(float)
     # index of the last element of each tied block
-    block_ends = np.flatnonzero(np.diff(sorted_scores))
-    block_ends = np.append(block_ends, scores.size - 1)
+    block_ends = np.append(np.flatnonzero(np.diff(sorted_scores)), scores.size - 1)
     tp = np.cumsum(sorted_labels)[block_ends]
     fp = (block_ends + 1) - tp
     tpr = np.concatenate([[0.0], tp / positives])

@@ -36,12 +36,22 @@ def as_matrix(a, name="matrix"):
     return a
 
 
+def _frobenius(a):
+    """(||a 2^-e||_F, e): e = 0 unless a's plain sum of squares overflows or
+    underflows, else the exponent of max|a|, a scaling that is exact."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    e = 0 if 1e-140 < norm < 1e140 else int(np.frexp(np.abs(a).max())[1])
+    return float(np.linalg.norm(np.ldexp(a, -e)) if e else norm), e
+
+
 def check_square_symmetric(a, name="matrix"):
     a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > SYMMETRY_RTOL * max(scale, 1e-300):
+    scale, e = _frobenius(a)
+    b = np.ldexp(a, -e) if e else a  # same exact scaling, so the same verdict
+    if np.linalg.norm(b - b.T) > SYMMETRY_RTOL * scale:
         raise ValueError(f"{name} is not symmetric within tolerance")
     return a
 

@@ -60,16 +60,12 @@ def draw_shared_private(truth, n, rng, orthogonal_latents=False):
     are then attributable to the observation noise rather than to the
     realized correlation between latent draws.
     """
-    q_shared = truth["v1"].shape[1]
-    q1 = truth["w1"].shape[1]
-    q2 = truth["w2"].shape[1]
+    q_shared, q1, q2 = (truth[key].shape[1] for key in ("v1", "w1", "w2"))
     lat = rng.standard_normal((n, q_shared + q1 + q2))
     if orthogonal_latents:
         basis, _ = np.linalg.qr(lat - lat.mean(axis=0))
         lat = basis * np.sqrt(n)
-    z = lat[:, :q_shared]
-    x1 = lat[:, q_shared:q_shared + q1]
-    x2 = lat[:, q_shared + q1:]
+    z, x1, x2 = np.split(lat, [q_shared, q_shared + q1], axis=1)
     e1 = np.sqrt(truth["sigma1_sq"]) * rng.standard_normal((n, truth["mu1"].size))
     e2 = np.sqrt(truth["sigma2_sq"]) * rng.standard_normal((n, truth["mu2"].size))
     y1 = x1 @ truth["w1"].T + z @ truth["v1"].T + e1 + truth["mu1"]

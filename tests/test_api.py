@@ -2,6 +2,9 @@
 parameters; growing or shrinking either is a deliberate change to this file."""
 
 import inspect
+from pathlib import Path
+
+import numpy as np
 
 import rca
 
@@ -62,3 +65,13 @@ def test_every_public_signature_is_the_pinned_one():
         except ValueError:  # no signature: only the exception may lack one
             params = None
         assert params == SIGNATURES[name], name
+
+
+def test_readme_quick_start_runs_as_documented():
+    # the first python block of README.md, executed as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    namespace = {}
+    exec(readme.split("```python\n", 1)[1].split("```", 1)[0], namespace)
+    fit, x_true = namespace["fit"], namespace["x_true"]
+    assert fit.q == 2
+    np.testing.assert_allclose(fit.loadings @ fit.loadings.T, x_true @ x_true.T, rtol=0, atol=1e-10)

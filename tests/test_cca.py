@@ -16,6 +16,12 @@ def make_views(rng, n, d1, d2, shared=2, strength=0.9):
     return y1, y2
 
 
+_rng = np.random.default_rng(12)
+_wide = _rng.standard_normal((20, 30))
+_collinear = _rng.standard_normal((40, 6))
+_collinear[:, 2] = _collinear[:, 0] + _collinear[:, 1]
+
+
 def test_identical_views_give_unit_correlations():
     rng = np.random.default_rng(1)
     y1 = rng.standard_normal((40, 3))
@@ -69,16 +75,23 @@ def test_per_view_normalization_and_diagonal_cross():
     assert ((fit.correlations > 0) & (fit.correlations <= 1.0 + 1e-8)).all()
 
 
-def test_probabilistic_loadings_identity():
-    rng = np.random.default_rng(5)
-    y1, y2 = make_views(rng, 45, 3, 5)
+# the planted views take the closed form; the others are the jitter inputs of
+# test_views_that_need_jitter_take_the_joint_solve, whose v1, v2 come from the
+# joint solve's loadings
+@pytest.mark.parametrize("y1,y2", [
+    pytest.param(*make_views(np.random.default_rng(5), 45, 3, 5), id="planted"),
+    pytest.param(_wide[:, :25], _wide[:, 25:], id="wider_than_n"),
+    pytest.param(_collinear[:, :3], _collinear[:, 3:], id="collinear_column"),
+    pytest.param(_wide[:, :25], _wide[:, :25].copy(), id="identical_wider_than_n")])
+def test_probabilistic_loadings_identity(y1, y2):
     fit = cca_fit(y1, y2)
     q = fit.correlations.size
+    assert q > 0
     np.testing.assert_allclose(fit.s1.T @ fit.v1,
                                np.diag(np.sqrt(fit.correlations)), atol=1e-8)
     np.testing.assert_allclose(fit.s2.T @ fit.v2,
                                np.diag(np.sqrt(fit.correlations)), atol=1e-8)
-    assert fit.v1.shape == (3, q) and fit.v2.shape == (5, q)
+    assert fit.v1.shape == (y1.shape[1], q) and fit.v2.shape == (y2.shape[1], q)
 
 
 def test_loadings_product_recovers_cross_covariance():
@@ -148,12 +161,6 @@ def test_fit_survives_rank_deficient_views_via_jitter():
 def _joint_covariance(y1, y2):
     joint = np.hstack([y1 - y1.mean(axis=0), y2 - y2.mean(axis=0)])
     return joint.T @ joint / joint.shape[0]
-
-
-_rng = np.random.default_rng(12)
-_wide = _rng.standard_normal((20, 30))
-_collinear = _rng.standard_normal((40, 6))
-_collinear[:, 2] = _collinear[:, 0] + _collinear[:, 1]
 
 
 # The joint solve makes one cholesky and two eigh, plus one eigvalsh where

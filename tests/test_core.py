@@ -145,6 +145,29 @@ def test_fit_rejects_indefinite_gram():
         rca_fit(np.diag([1.0, -5.0]), ScaledIdentity(1.0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e160, 1e200])
+def test_fit_at_extreme_scale(s):
+    # ||G||_F overflows a plain sum of squares at these scales; the symmetry
+    # check and the semidefinite floor must still see a symmetric, definite G
+    scaled = s * np.diag(np.arange(1.0, 6.0))
+    for gram, sigma in ((2 * s * np.eye(5), ScaledIdentity(s)), (2 * s * np.eye(5), s * np.eye(5)),
+                        (2 * scaled, Explicit(scaled))):
+        fit = rca_fit(gram, sigma)
+        assert fit.q == 5
+        assert np.isfinite(fit.loadings).all() and np.isfinite(fit.log_likelihood)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1.0, 1e200, 1e-170])
+def test_semidefinite_floor_is_relative_at_any_scale(s):
+    # a roundoff-sized negative eigenvalue passes and a negative gram fails
+    # alike at every scale, the floor being -1e-8 ||G||_F
+    assert rca_fit(s * np.diag([3.0, 2.0, 1.0, 0.5, -1e-12]), ScaledIdentity(s)).q == 2
+    with pytest.raises(ValueError, match="semidefinite"):
+        rca_fit(-s * np.eye(5), ScaledIdentity(s))
+
+
 def test_fit_names_a_0d_gram():
     # the gram is checked before the spec reads its size: an empty low-rank
     # spec would otherwise fail inside numpy, on the minimum of no variances

@@ -50,11 +50,17 @@ def test_sym_eig_orthonormal_columns():
     assert (np.diff(eig.values) <= 1e-12).all()
 
 
+@pytest.mark.filterwarnings("error")
 def test_sym_eig_rejects_nonsquare_and_asymmetric():
     with pytest.raises(ValueError, match="square"):
         gen_eig_spd(np.ones((2, 3)), np.eye(2))
     with pytest.raises(ValueError, match="symmetric"):
         gen_eig_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.eye(2))
+    # the same asymmetry at scales where a plain sum of squares overflows
+    # (inf > 1e-10 inf) or underflows (0 > 1e-10 * 0)
+    for scale in (1e200, 1e-170):
+        with pytest.raises(ValueError, match="symmetric"):
+            gen_eig_spd(scale * np.array([[1.0, 5.0], [0.0, 1.0]]), np.eye(2))
     with pytest.raises(ValueError, match="finite"):
         gen_eig_spd(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2))
 

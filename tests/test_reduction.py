@@ -429,6 +429,13 @@ def test_jittered_fit_is_two_eigensolves(lapack_calls, kind, p):
     assert fit.eig.jitter == JITTER_SCALE * (np.trace(sigma) / p)
     assert lapack_calls["eigh"] == 2
     assert set(lapack_calls) <= {"eigh", "cholesky", "inv"}
+    # G - Sigma_eff = (1 - jitter) I + W W' is positive definite, so every
+    # component is kept and X X' is G - Sigma_eff, jitter included; exactly
+    # so at p=12, while at p=100 Sigma's conditioning costs ~1e-6 of it
+    assert fit.q == p
+    if p == P:
+        resid = gram - sigma - fit.eig.jitter * np.eye(p)
+        assert np.linalg.norm(fit.loadings @ fit.loadings.T - resid) <= 1e-12 * np.linalg.norm(resid)
 
 
 def test_log_marginal_is_one_factor_and_one_inverse(lapack_calls):
