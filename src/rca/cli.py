@@ -37,17 +37,19 @@ from .itrca import SharedPrivateModel, iterative_rca, predict_view1, rms_error
 from .kernels import ABSOLUTE, FRACTION, KernelSpec
 
 
+SIGMA_FORMS = {"identity": "identity:VAR", "file": "file:PATH",
+               "lowrank": "lowrank:PATH:VAR", "blocks": "blocks:PATH[,PATH...]"}
+
+
 def parse_sigma_spec(text):
-    """Parse a covariance selector of one of the `forms` below."""
+    """Parse a covariance selector of one of the SIGMA_FORMS (--sigma's help)."""
     kind, _, rest = text.partition(":")
-    forms = {"identity": "identity:VAR", "file": "file:PATH",
-             "lowrank": "lowrank:PATH:VAR", "blocks": "blocks:PATH[,PATH...]"}
     fields = {"lowrank": rest.rpartition(":")[::2],  # (PATH, VAR)
               "blocks": rest.split(",")}.get(kind, [rest])
-    if kind not in forms or not all(fields):
-        problem = "unknown" if kind not in forms else "incomplete"
+    if kind not in SIGMA_FORMS or not all(fields):
+        problem = "unknown" if kind not in SIGMA_FORMS else "incomplete"
         raise ValueError(f"{problem} covariance spec {text!r} (expected "
-                         f"{forms.get(kind, ' | '.join(forms.values()))})")
+                         f"{SIGMA_FORMS.get(kind, ' | '.join(SIGMA_FORMS.values()))})")
     if kind == "identity":
         return ScaledIdentity(float(rest))
     if kind == "file":
@@ -67,12 +69,6 @@ def parse_times(text):
     except ValueError:
         raise ValueError(f"times {text!r} is neither a file nor a "
                          "comma-separated number list") from None
-
-
-def _kernel_spec(args):
-    if args.noise_variance is not None:
-        return KernelSpec(args.lengthscale, args.noise_variance, ABSOLUTE)
-    return KernelSpec(args.lengthscale, args.noise_fraction, FRACTION)
 
 
 # ------------------------------------------------------------------ commands
@@ -112,7 +108,9 @@ def cmd_diffexpr(args):
     y1, header1, _ = load_csv(args.y1)
     y2, _, _ = load_csv(args.y2)
     pair = TimeSeriesPair(y1, y2, parse_times(args.t1), parse_times(args.t2))
-    spec = _kernel_spec(args)
+    noise = (args.noise_fraction, FRACTION) if args.noise_variance is None else \
+        (args.noise_variance, ABSOLUTE)
+    spec = KernelSpec(args.lengthscale, *noise)
     ranking = residual_scores(pair, spec, standardize=not args.no_standardize)
     gene_ids = header1 if header1 and len(header1) == y1.shape[1] else \
         [f"g{j}" for j in range(y1.shape[1])]
@@ -261,33 +259,29 @@ def build_parser():
         description="Residual component analysis toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_out(p):
+    def command(name, func, help):
+        """A subcommand running func, with the -o/--outdir that _commit reads."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("-o", "--outdir", default=None,
                        help="output directory (default $RCA_OUTDIR or .)")
+        return p
 
-    p = sub.add_parser("rca", help="generalized-eigenvalue residual fit")
+    p = command("rca", cmd_rca, "generalized-eigenvalue residual fit")
     p.add_argument("--gram", required=True, help="CSV of the Gram/covariance matrix")
-    p.add_argument("--sigma", required=True,
-                   help="identity:VAR | file:PATH | lowrank:PATH:VAR | blocks:P1,P2")
+    p.add_argument("--sigma", required=True, help=" | ".join(SIGMA_FORMS.values()))
     p.add_argument("--n-obs", type=int, default=1,
                    help="vector count behind the Gram (scales the likelihood)")
-    add_out(p)
-    p.set_defaults(func=cmd_rca)
 
-    p = sub.add_parser("ppca", help="probabilistic PCA fit")
+    p = command("ppca", cmd_ppca, "probabilistic PCA fit")
     p.add_argument("--data", required=True)
     p.add_argument("--sigma2", type=float, required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_ppca)
 
-    p = sub.add_parser("cca", help="canonical correlation analysis")
+    p = command("cca", cmd_cca, "canonical correlation analysis")
     p.add_argument("--y1", required=True)
     p.add_argument("--y2", required=True)
-    add_out(p)
-    p.set_defaults(func=cmd_cca)
 
-    p = sub.add_parser("diffexpr",
-                       help="residual differential scores for paired series")
+    p = command("diffexpr", cmd_diffexpr, "residual differential scores for paired series")
     p.add_argument("--y1", required=True)
     p.add_argument("--y2", required=True)
     p.add_argument("--t1", required=True, help="times: CSV path or comma list")
@@ -300,36 +294,28 @@ def build_parser():
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--labels", default=None,
                    help="binary labels CSV; enables ROC output")
-    add_out(p)
-    p.set_defaults(func=cmd_diffexpr)
 
-    p = sub.add_parser("itrca", help="alternating shared/private fit")
+    p = command("itrca", cmd_itrca, "alternating shared/private fit")
     p.add_argument("--y1", required=True)
     p.add_argument("--y2", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--max-iter", type=int, default=200)
-    add_out(p)
-    p.set_defaults(func=cmd_itrca)
 
-    p = sub.add_parser("predict", help="predict view 1 from view 2")
+    p = command("predict", cmd_predict, "predict view 1 from view 2")
     p.add_argument("--model-dir", required=True,
                    help="directory produced by the itrca command")
     p.add_argument("--y2", required=True)
     p.add_argument("--mode", choices=["paper", "exact"], default="paper")
     p.add_argument("--truth", default=None, help="view-1 truth for an RMS report")
-    add_out(p)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("synth-diffexpr", help="planted two-condition dataset")
+    p = command("synth-diffexpr", cmd_synth_diffexpr, "planted two-condition dataset")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--genes", type=int, default=200)
     p.add_argument("--planted", type=int, default=10)
     p.add_argument("--noise-sd", type=float, default=0.2)
-    add_out(p)
-    p.set_defaults(func=cmd_synth_diffexpr)
 
-    p = sub.add_parser("synth-shared", help="planted shared/private dataset")
+    p = command("synth-shared", cmd_synth_shared, "planted shared/private dataset")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--d1", type=int, default=15)
@@ -338,8 +324,6 @@ def build_parser():
     p.add_argument("--q1", type=int, default=1)
     p.add_argument("--q2", type=int, default=1)
     p.add_argument("--noise-sd", type=float, default=0.25)
-    add_out(p)
-    p.set_defaults(func=cmd_synth_shared)
 
     return parser
 

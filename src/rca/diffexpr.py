@@ -76,7 +76,7 @@ def residual_scores(pair, spec, standardize=True):
     if standardize:
         # genes with (relatively) zero variance are zeroed, not divided
         std = y.std(axis=0)
-        alive = std > 1e-13 * np.maximum(scale, 1.0)
+        alive = std > 1e-13 * scale
         y = np.where(alive, y / np.where(alive, std, 1.0), 0.0)
     data_variance = float(y.var(axis=0).mean())
 

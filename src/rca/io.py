@@ -73,10 +73,11 @@ def _read_lines(path):
     """The non-empty lines of path, their physical line numbers, and whether
     np.loadtxt may parse them.
 
-    Text mode has already turned \\r\\n and \\r into \\n. splitlines() would
-    also split on \\f, \\v and Unicode separators, which float() strips.
+    Text mode has already turned \\r\\n and \\r into \\n, and utf-8-sig has
+    dropped a leading byte-order mark. splitlines() would also split on \\f,
+    \\v and Unicode separators, which float() strips.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     vectorizable = not any(c in text for c in _LOADTXT_ONLY_SPACE)
     lines = text.split("\n")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import _cca_of_covariance, _center_views
+from .cca import _cca_of_covariance, _center_views, _joint_covariance
 from .core import LowRankPlusNoise, _block_diag, log_marginal, rca_fit
 from .linalg import as_matrix
 
@@ -101,7 +101,7 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200):
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
-    c = joint.T @ joint / n
+    c = _joint_covariance(joint, d1)
     c11, c22 = c[:d1, :d1], c[d1:, d1:]
     sigma1_sq = alpha * np.trace(c11) / d1
     sigma2_sq = alpha * np.trace(c22) / d2

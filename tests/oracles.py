@@ -180,7 +180,7 @@ def float_cell_csv(path):
     else does); blank lines are skipped but still count toward the physical
     line numbers that errors report.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         numbered = [(number, line.rstrip("\n").split(","))
                     for number, line in enumerate(fh, 1) if line != "\n"]
     numbers = [number for number, _ in numbered]

@@ -93,6 +93,13 @@ def test_gene_scale_invariance_under_standardization():
     y2s[:, 7] *= 1375.0
     scaled = residual_scores(TimeSeriesPair(y1s, y2s, t1, t2), KernelSpec())
     np.testing.assert_allclose(scaled.scores, base.scores, atol=1e-10)
+    # the zero-variance rule is relative to each gene's scale, so scaling
+    # the whole data set zeroes no gene either
+    for s in (1e-14, 1e-100, 1e100):
+        whole = residual_scores(TimeSeriesPair(s * y1, s * y2, t1, t2), KernelSpec())
+        assert whole.q_used == base.q_used
+        np.testing.assert_array_equal(whole.order, base.order)
+        np.testing.assert_allclose(whole.scores, base.scores, atol=1e-10)
 
 
 def test_zero_variance_gene_scores_zero():

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -14,9 +15,11 @@ import rca.cli
 import rca.io
 from oracles import float_cell_csv
 from rca.cli import build_parser, main, parse_sigma_spec, parse_times
-from rca.core import BlockDiagonal, Explicit, LowRankPlusNoise, ScaledIdentity
+from rca.core import BlockDiagonal, Explicit, LowRankPlusNoise, ScaledIdentity, rca_fit
 from rca.diffexpr import ScoredRanking, TimeSeriesPair, residual_scores, roc_curve
+from rca.itrca import iterative_rca, predict_view1
 from rca.kernels import FRACTION, KernelSpec
+from rca.synth import make_diffexpr_pair, make_shared_private
 from rca.io import atomic_write_text, format_manifest, load_csv, read_manifest, save_csv
 
 
@@ -196,10 +199,20 @@ def _outcome(read, path):
 @example("nan,inf\n1,2\n")
 @example(",".join(f"{j / 3!r}" for j in range(2000)) + "\n")  # 1 row x 2000 columns
 @example("1\n\t\n2\n")
+@example("\ufeff1,2\n3,4\n")  # a UTF-8 byte-order mark, as spreadsheets export
 def test_load_matches_float_per_cell_reference(tmp_path, text):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode("utf-8"))
     assert _outcome(load_csv, p) == _outcome(float_cell_csv, p)
+
+
+def test_a_byte_order_mark_is_not_data(tmp_path):
+    p = tmp_path / "m.csv"
+    p.write_bytes("\ufeff1,2\n3,4\n".encode("utf-8"))
+    values, header, _ = load_csv(p)
+    assert values.shape == (2, 2) and header is None
+    p.write_bytes("\ufeffa,b\n1,2\n".encode("utf-8"))
+    assert load_csv(p)[1] == ["a", "b"]
 
 
 def test_save_golden_bytes(tmp_path):
@@ -286,6 +299,45 @@ def test_parse_sigma_spec(tmp_path):
     assert isinstance(parse_sigma_spec(f"blocks:{m},{m}"), BlockDiagonal)
     with pytest.raises(ValueError, match="unknown covariance spec"):
         parse_sigma_spec("wat:1")
+
+
+def subcommands(parser):
+    """Each subcommand's name and parser, read off the parser itself."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("name", list(subcommands(build_parser())))
+def test_every_subcommand_takes_an_outdir(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    assert "-o OUTDIR, --outdir OUTDIR" in capsys.readouterr().out
+
+
+# each CLI option with a default, the library callable it feeds and that
+# callable's parameter; a --no-X flag's default is the negation of X's
+LIBRARY_DEFAULTS = [
+    ("rca", "n_obs", rca_fit, "n_obs"),
+    ("diffexpr", "lengthscale", KernelSpec, "lengthscale"),
+    ("diffexpr", "noise_fraction", KernelSpec, "noise"),
+    ("diffexpr", "no_standardize", residual_scores, "standardize"),
+    ("itrca", "tol", iterative_rca, "tol"),
+    ("itrca", "max_iter", iterative_rca, "max_iter"),
+    ("predict", "mode", predict_view1, "mode"),
+    ("synth-diffexpr", "genes", make_diffexpr_pair, "n_genes"),
+    ("synth-diffexpr", "planted", make_diffexpr_pair, "n_planted"),
+    ("synth-diffexpr", "noise_sd", make_diffexpr_pair, "noise_sd"),
+] + [("synth-shared", dest, make_shared_private, dest)
+     for dest in ("n", "d1", "d2", "q_shared", "q1", "q2", "noise_sd")]
+
+
+@pytest.mark.parametrize("command, dest, function, param", LIBRARY_DEFAULTS,
+                         ids=[f"{c}-{d}" for c, d, _, _ in LIBRARY_DEFAULTS])
+def test_cli_defaults_are_the_library_defaults(command, dest, function, param):
+    cli = subcommands(build_parser())[command].get_default(dest)
+    if dest.startswith("no_"):
+        cli = not cli
+    assert cli == inspect.signature(function).parameters[param].default
 
 
 def test_parse_times(tmp_path):
@@ -930,8 +982,7 @@ def test_outdir_holds_exactly_the_last_runs_artifacts(inputs, tmp_path, runs, fi
 
 def test_commands_compute_without_writing(inputs, tmp_path):
     parser = build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
+    commands = subcommands(parser)
     assert set(commands) <= set(COMMANDS)
     out = tmp_path / "never"
     for name in commands:

@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -259,6 +260,41 @@ def test_two_view_fits_share_one_row_count_check(fit):
     }
     with pytest.raises(ValueError, match=r"^row-count mismatch: y1 has 40, y2 has 50$"):
         calls[fit]()
+
+
+TWO_VIEW_FITS = {"cca_fit": cca_fit,
+                 "iterative_rca": lambda y1, y2: iterative_rca(y1, y2, alpha=0.3)}
+
+
+# (view scales, the column named): a variance that overflows, or underflows
+# below the normal doubles while its column is not constant
+@pytest.mark.parametrize("s1, s2, column", [(1e-160, 1.0, "y1 column 0"),
+                                            (1e-200, 1.0, "y1 column 0"),
+                                            (1e-170, 1e-170, "y1 column 0"),
+                                            (1e160, 1.0, "y1 column 0"),
+                                            (1e200, 1.0, "y1 column 0"),
+                                            (1.0, 1e-160, "y2 column 0")])
+@pytest.mark.parametrize("fit", TWO_VIEW_FITS)
+def test_two_view_fits_name_a_view_outside_the_normal_range(fit, s1, s2, column):
+    y1, y2, _ = make_shared_private(1, n=50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{column}: variance .* is outside the normal "
+                                             "floating-point range; rescale the view$"):
+            TWO_VIEW_FITS[fit](s1 * y1, s2 * y2)
+
+
+@pytest.mark.parametrize("s1, s2", [(1e-150, 1.0), (1e150, 1.0), (1e-150, 1e-150),
+                                    (1e150, 1e-150)])
+def test_two_view_fits_are_scale_free_across_the_normal_range(s1, s2):
+    y1, y2, _ = make_shared_private(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fits = [(cca_fit(s * y1, t * y2), iterative_rca(s * y1, t * y2, alpha=0.3))
+                for s, t in ((1.0, 1.0), (s1, s2))]
+    (cca, model), (cca_scaled, model_scaled) = fits
+    np.testing.assert_allclose(cca_scaled.correlations, cca.correlations, rtol=0, atol=1e-12)
+    assert model_scaled.ranks == model.ranks == (2, 1, 1)
 
 
 @pytest.mark.parametrize("view", ["y1", "y2"])
