@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockDiagonal, RcaFit, _block_diag, _fit_of_spectrum, rca_fit
+from .core import BlockDiagonal, RcaFit, _block_diag, _fit_of_spectrum, _sample_covariance, rca_fit
 from .linalg import GenEig, NotPositiveDefiniteError, _signed, _whitener, as_matrix
 
 # Correlations below this are indistinguishable from zero and dropped;
@@ -56,21 +56,7 @@ def cca_fit(y1, y2):
     its excess over one, clamped at 1 and flagged if roundoff puts it above.
     """
     joint, mu1, _ = _center_views(y1, y2)
-    return _cca_of_covariance(_joint_covariance(joint, mu1.size), mu1.size, joint.shape[0])
-
-
-def _joint_covariance(joint, d1):
-    """joint' joint / n of centered views, view 1 the first d1 columns. A column
-    that is not constant and whose variance leaves the normal doubles is named."""
-    with np.errstate(all="ignore"):
-        c = joint.T @ joint / joint.shape[0]
-    var = np.diag(c)
-    for j in np.flatnonzero((var < np.finfo(float).tiny) | (var == np.inf)):
-        if var[j] == np.inf or (joint[:, j] != joint[0, j]).any():
-            view, k = ("y1", j) if j < d1 else ("y2", j - d1)
-            raise ValueError(f"{view} column {k}: variance {var[j]:.3g} is outside the "
-                             "normal floating-point range; rescale the view")
-    return c
+    return _cca_of_covariance(_sample_covariance(joint, mu1.size), mu1.size, joint.shape[0])
 
 
 def _cca_of_covariance(c, d1, n):

@@ -8,7 +8,6 @@ records wall-clock state, so identical inputs give byte-identical files.
 
 import argparse
 import contextlib
-import itertools
 import os
 import sys
 
@@ -26,7 +25,6 @@ from .core import (
 )
 from .diffexpr import TimeSeriesPair, residual_scores, roc_curve
 from .io import (
-    FLOAT_FMT,
     atomic_write_text,
     format_manifest,
     load_csv,
@@ -74,8 +72,8 @@ def parse_times(text):
 # ------------------------------------------------------------------ commands
 # Each returns (artifacts, results) and writes nothing; main hands both to
 # _commit, whose manifest is the run's arguments followed by the results.
-# Artifacts map a file name to an array, an (array, header) pair or a str;
-# None or a zero-column block names a file this run does not produce.
+# Artifacts map a file name to a str, an array, or (array, header[, row_labels])
+# for save_csv; None or an empty array names a file this run does not produce.
 
 def cmd_rca(args):
     gram, _, _ = load_csv(args.gram)
@@ -114,24 +112,19 @@ def cmd_diffexpr(args):
     ranking = residual_scores(pair, spec, standardize=not args.no_standardize)
     gene_ids = header1 if header1 and len(header1) == y1.shape[1] else \
         [f"g{j}" for j in range(y1.shape[1])]
-    rank_of = np.empty(ranking.order.size, dtype=int)
-    rank_of[ranking.order] = np.arange(1, ranking.order.size + 1)
-    cells = tuple(itertools.chain.from_iterable(zip(
-        gene_ids, ranking.scores.tolist(), rank_of.tolist())))
+    rank_of = np.argsort(ranking.order) + 1.0
 
     # two flags decide the kernel noise, so the manifest records the one used
     results = {"noise_mode": spec.noise_mode, "noise": spec.noise,
                "q_used": ranking.q_used}
-    artifacts = {"scores.csv": "gene_id,score,rank\n"
-                 + f"%s,{FLOAT_FMT},%d\n" * len(gene_ids) % cells,
+    artifacts = {"scores.csv": (np.column_stack([ranking.scores, rank_of]),
+                                ["gene_id", "score", "rank"], gene_ids),
                  "roc.csv": None}
     if args.labels:
         labels, _, _ = load_csv(args.labels)
         roc = roc_curve(ranking.scores, labels.ravel())
-        table = np.column_stack([roc.thresholds, roc.points])
-        row = ",".join([FLOAT_FMT] * 3) + "\n"
-        artifacts["roc.csv"] = ("threshold,fpr,tpr\n" + row * len(table)
-                                % tuple(table.ravel().tolist()) + f"auc,{FLOAT_FMT % roc.auc},\n")
+        artifacts["roc.csv"] = (np.column_stack([roc.thresholds, roc.points]),
+                                ["threshold", "fpr", "tpr"])
         results["auc"] = roc.auc
     return artifacts, results
 
@@ -203,7 +196,7 @@ def cmd_predict(args):
     if args.truth:
         truth, _, _ = load_csv(args.truth)
         rms = results["rms"] = rms_error(pred, truth)
-        artifacts["rms.txt"] = f"rms={FLOAT_FMT % rms}\n"
+        artifacts["rms.txt"] = format_manifest({"rms": rms})
     return artifacts, results
 
 
@@ -240,12 +233,12 @@ def _commit(args, artifacts, results):
     out = args.outdir or os.environ.get("RCA_OUTDIR") or "."
     for name, value in {"manifest.txt": None, **artifacts}.items():
         path = os.path.join(out, name)
-        value, header = value if isinstance(value, tuple) else (value, None)
+        value, *table = value if isinstance(value, tuple) else (value,)
         if isinstance(value, str):
             atomic_write_text(path, value)
-        elif value is not None and (value.ndim < 2 or value.shape[1] > 0):
-            save_csv(path, value, header=header)
-        else:  # no dense-CSV form for a zero-column block; q is in the manifest
+        elif value is not None and value.size:
+            save_csv(path, value, *table)
+        else:  # no CSV form for an empty block, whose size is in the manifest
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path)
     atomic_write_text(os.path.join(out, "manifest.txt"), text)

@@ -220,8 +220,20 @@ def ppca_fit(y, sigma2):
     y = as_matrix(y, "y")
     if not 0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
-    n = y.shape[0]
     mean = y.mean(axis=0)
-    yc = y - mean
-    cov = yc.T @ yc / n
-    return replace(rca_fit(cov, ScaledIdentity(sigma2), n_obs=n), mean=mean)
+    return replace(rca_fit(_sample_covariance(y - mean), ScaledIdentity(sigma2),
+                           n_obs=y.shape[0]), mean=mean)
+
+
+def _sample_covariance(y, d1=None):
+    """y' y / n of centered rows y. A column that is not constant and whose variance
+    leaves the normal doubles is named as y's, or as y1's (the first d1) or y2's."""
+    with np.errstate(all="ignore"):
+        c = y.T @ y / y.shape[0]
+    var = np.diag(c)
+    for j in np.flatnonzero((var < np.finfo(float).tiny) | (var == np.inf)):
+        if var[j] == np.inf or (y[:, j] != y[0, j]).any():
+            view, k = ("y", j) if d1 is None else ("y1", j) if j < d1 else ("y2", j - d1)
+            raise ValueError(f"{view} column {k}: variance {var[j]:.3g} is outside the "
+                             "normal floating-point range; rescale the view")
+    return c

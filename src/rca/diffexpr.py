@@ -71,7 +71,8 @@ def residual_scores(pair, spec, standardize=True):
     times = np.concatenate([pair.t1, pair.t2])
     d = y.shape[1]  # TimeSeriesPair gives each series a row, so y has at least two
 
-    scale = np.abs(y).max(axis=0)
+    scale, e = np.frexp(np.abs(y).max(axis=0))  # max|gene| = scale 2^e
+    y = np.ldexp(y, -e) if standardize else y  # exact, and y.std cannot overflow
     y = y - y.mean(axis=0)
     if standardize:
         # genes with (relatively) zero variance are zeroed, not divided

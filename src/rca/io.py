@@ -6,6 +6,7 @@ and renamed into place, so readers never observe a half-written artifact.
 """
 
 import contextlib
+import itertools
 import os
 
 import numpy as np
@@ -154,13 +155,16 @@ def atomic_write_text(path, text):
 _BLOCK_CELLS = 1 << 16
 
 
-def save_csv(path, matrix, header=None):
-    """Write a matrix (or 1-D vector, saved as one column) atomically."""
+def save_csv(path, matrix, header=None, row_labels=None):
+    """load_csv's dual: write a matrix (a 1-D vector as one column) atomically,
+    under header, with row_labels (one per row) as a first column if given."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     n_rows, n_cols = matrix.shape
-    row_fmt = ",".join([FLOAT_FMT] * n_cols) + "\n"
+    if row_labels is not None and len(row_labels) != n_rows:
+        raise ValueError(f"{len(row_labels)} row labels for {n_rows} rows")
+    row_fmt = ",".join(["%s"] * (row_labels is not None) + [FLOAT_FMT] * n_cols) + "\n"
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
     with _atomic_file(path) as fh:
         if header is not None:
@@ -169,7 +173,9 @@ def save_csv(path, matrix, header=None):
             fh.write("\n")  # every file ends in a newline, even with no lines
         for start in range(0, n_rows, step):
             block = matrix[start:start + step]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+            cells = block.ravel().tolist() if row_labels is None else \
+                itertools.chain.from_iterable(zip(row_labels[start:start + step], *block.T.tolist()))
+            fh.write((row_fmt * len(block)) % tuple(cells))
 
 
 def format_manifest(entries):

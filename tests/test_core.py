@@ -282,6 +282,20 @@ def test_ppca_log_likelihood_equals_primal_marginal():
     assert fit.log_likelihood == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e-150, 1e150, 1e155, 1e160])
+def test_ppca_is_scale_free_until_a_variance_overflows(s):
+    # the two-view fits' sample-covariance front end: the same rank across
+    # the normal doubles, then the column named instead of an overflow warning
+    y = make_diffexpr_pair(3, n_genes=40)[0]
+    if s < 1e155:
+        assert ppca_fit(s * y, s * s * 0.1).q == ppca_fit(y, 0.1).q > 0
+        return
+    with pytest.raises(ValueError, match=r"^y column 0: variance inf is outside the normal "
+                                         "floating-point range; rescale the view$"):
+        ppca_fit(s * y, 1e300)
+
+
 # ---------------------------------------------------------------- properties
 
 def test_pca_reduction_directions():

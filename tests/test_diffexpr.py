@@ -85,6 +85,7 @@ def test_permutation_equivariance():
     np.testing.assert_allclose(permuted.scores, base.scores[perm], atol=1e-9)
 
 
+@pytest.mark.filterwarnings("error")
 def test_gene_scale_invariance_under_standardization():
     y1, y2, t1, t2, _ = make_diffexpr_pair(seed=6, n_genes=40, n_planted=3)
     base = residual_scores(TimeSeriesPair(y1, y2, t1, t2), KernelSpec())
@@ -94,8 +95,9 @@ def test_gene_scale_invariance_under_standardization():
     scaled = residual_scores(TimeSeriesPair(y1s, y2s, t1, t2), KernelSpec())
     np.testing.assert_allclose(scaled.scores, base.scores, atol=1e-10)
     # the zero-variance rule is relative to each gene's scale, so scaling
-    # the whole data set zeroes no gene either
-    for s in (1e-14, 1e-100, 1e100):
+    # the whole data set zeroes no gene either, and the exact per-gene
+    # rescale keeps y.std from overflowing or underflowing at any scale
+    for s in (1e-14, 1e-100, 1e-160, 1e100, 1e155, 1e160):
         whole = residual_scores(TimeSeriesPair(s * y1, s * y2, t1, t2), KernelSpec())
         assert whole.q_used == base.q_used
         np.testing.assert_array_equal(whole.order, base.order)

@@ -115,7 +115,7 @@ def test_a_bad_last_cell_is_at_most_one_loadtxt_call(tmp_path, body_parses):
     assert body_parses["cells"] == [41]
 
 
-def test_round_trip_bit_exact(tmp_path):
+def test_round_trip_bit_exact(tmp_path, monkeypatch):
     rng = np.random.default_rng(14)
     matrix = rng.standard_normal((20, 3)) * np.exp(rng.uniform(-30, 30, (20, 3)))
     p = tmp_path / "m.csv"
@@ -127,6 +127,22 @@ def test_round_trip_bit_exact(tmp_path):
     q = tmp_path / "m2.csv"
     save_csv(q, back, header=header)
     assert p.read_bytes() == q.read_bytes()
+    # row labels come back as written, each beside its own row also when the
+    # rows go out in several blocks
+    labels = [f"g{i}" for i in range(20)]
+    for block_cells in (1 << 16, 7):
+        monkeypatch.setattr(rca.io, "_BLOCK_CELLS", block_cells)
+        save_csv(q, matrix, header=["id", "u", "v", "w"], row_labels=labels)
+        back, header, row_labels = load_csv(q)
+        assert (header, row_labels) == (["u", "v", "w"], labels)
+        assert np.array_equal(back, matrix)
+        assert q.read_text().splitlines()[5] == "g4," + p.read_text().splitlines()[5]
+    # a label count off the row count raises before any file is made, also
+    # when the surplus label falls past the last block (20 rows of 2 per block)
+    for rows, n_labels in ((20, 19), (20, 21), (0, 1)):
+        with pytest.raises(ValueError, match=f"^{n_labels} row labels for {rows} rows$"):
+            save_csv(tmp_path / "m3.csv", matrix[:rows], row_labels=labels[:1] * n_labels)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["m.csv", "m2.csv"]
 
 
 def test_labeled_round_trip(tmp_path):
@@ -140,6 +156,9 @@ def test_labeled_round_trip(tmp_path):
     q = tmp_path / "m2.csv"
     save_csv(q, values, header=header)
     assert q.read_text() == "x,y\n1.5,2.5\n3.5,4.5\n"
+    # and with its labels as the file itself
+    save_csv(q, values, header=["id", *header], row_labels=labels)
+    assert q.read_bytes() == p.read_bytes()
 
 
 # a number as save_csv or repr writes it, or a cell float() may or may not read
@@ -441,13 +460,14 @@ def test_diffexpr_and_roc_outputs(tmp_path):
     assert ranks == list(range(1, 41))
     roc_lines = (out / "roc.csv").read_text().splitlines()
     assert roc_lines[0] == "threshold,fpr,tpr"
-    assert roc_lines[-1].startswith("auc,")
+    # a table the reader takes back whole; the AUC is the manifest's auc=
+    assert load_csv(out / "roc.csv")[0].shape == (len(roc_lines) - 1, 3)
     assert "auc" in read_manifest(out / "manifest.txt")
 
 
 def test_diffexpr_golden_bytes(tmp_path, monkeypatch):
     # fixed scores (ties, zero, subnormal-range and huge values) pin the
-    # bytes of both artifacts, header gene names and the auc trailer included
+    # bytes of both artifacts, header gene names included
     scores = np.array([0.1, 1 / 3, 0.0, 1 / 3, 2.5e-300, 7.0, 1e22])
     monkeypatch.setattr(rca.cli, "residual_scores", lambda pair, spec, standardize:
                         ScoredRanking(scores, np.argsort(-scores, kind="stable"), 2))
@@ -465,7 +485,7 @@ def test_diffexpr_golden_bytes(tmp_path, monkeypatch):
     assert (out / "roc.csv").read_bytes() == (
         b"threshold,fpr,tpr\ninf,0,0\n1e+22,0.25,0\n7,0.25,0.33333333333333331\n"
         b"0.33333333333333331,0.5,0.66666666666666663\n0.10000000000000001,0.5,1\n"
-        b"2.5e-300,0.75,1\n0,1,1\nauc,0.625,\n")
+        b"2.5e-300,0.75,1\n0,1,1\n")
 
 
 def test_diffexpr_bytes_match_a_per_row_format(tmp_path):
@@ -487,7 +507,7 @@ def test_diffexpr_bytes_match_a_per_row_format(tmp_path):
     assert 0 < roc.auc < 1
     assert (out / "roc.csv").read_text() == "threshold,fpr,tpr\n" + "".join(
         f"{thr:.17g},{fpr:.17g},{tpr:.17g}\n"
-        for thr, (fpr, tpr) in zip(roc.thresholds, roc.points)) + f"auc,{roc.auc:.17g},\n"
+        for thr, (fpr, tpr) in zip(roc.thresholds, roc.points))
 
 
 def test_diffexpr_rejects_non_binary_labels(tmp_path, capsys):
@@ -956,7 +976,7 @@ ARTIFACT_SETS = [
     (["ppca"], LOADINGS | {"mean.csv"}),
     (["ppca", "ppca-q0"], LOADINGS - {"loadings.csv"} | {"mean.csv"}),
     (["cca"], DIRECTIONS),
-    (["cca", "cca-q0"], {"correlations.csv", "manifest.txt"}),
+    (["cca", "cca-q0"], {"manifest.txt"}),
     (["diffexpr"], {"scores.csv", "roc.csv", "manifest.txt"}),
     (["diffexpr", "diffexpr-no-labels"], {"scores.csv", "manifest.txt"}),
     (["itrca"], MODEL),
@@ -1003,6 +1023,22 @@ def test_manifest_records_every_given_argument(inputs, tmp_path, name):
     assert set(format_manifest(given).splitlines()) <= set(written)
 
 
+@pytest.mark.parametrize("name", COMMANDS)
+def test_every_csv_artifact_reads_back(inputs, tmp_path, name):
+    # load_csv gives back each table as written: its array (a vector as one
+    # column), and the header and row labels its tuple gave save_csv
+    args = build_parser().parse_args(COMMANDS[name].format(inputs).split() + ["-o", str(tmp_path)])
+    artifacts, results = args.func(args)
+    rca.cli._commit(args, artifacts, results)
+    for path in tmp_path.glob("*.csv"):
+        value, *table = artifacts[path.name] if isinstance(artifacts[path.name], tuple) else \
+            (artifacts[path.name],)
+        header, labels = (table + [None, None])[:2]
+        back = load_csv(path)
+        np.testing.assert_array_equal(back[0], np.reshape(value, (len(value), -1)))
+        assert back[1:] == (header if labels is None else header[1:], labels), path.name
+
+
 # ---------------------------------------------------------------- crash mid-commit
 
 def file_hashes(out):
@@ -1037,8 +1073,8 @@ def test_failed_rename_leaves_the_previous_run_or_no_manifest(
         with monkeypatch.context() as m:
             m.setattr(os, "replace", failing)
             code = run_cli(*COMMANDS[rerun].format(inputs).split(), "-o", str(out))
-        if code == 0:  # k is past the rerun's last rename
-            assert k > 2
+        if code == 0:  # k is past the rerun's last rename, one per file it wrote
+            assert k == len(list(out.iterdir())) + 1
             break
         after = file_hashes(out)
         assert not any(name.startswith(".tmp-") for name in after)
