@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlockDiagonal, RcaFit, _block_diag, _fit_of_spectrum, _sample_covariance, rca_fit
-from .linalg import GenEig, NotPositiveDefiniteError, _signed, _whitener, as_matrix
+from .linalg import GenEig, NotPositiveDefiniteError, _signed, _whitener
 
 # Correlations below this are indistinguishable from zero and dropped;
 # values above 1 by less than this are clamped (rank-deficiency artifacts).
@@ -32,21 +32,6 @@ class CcaFit:
     fit: RcaFit
 
 
-def _center_views(y1, y2, means=None):
-    """(joint, mu1, mu2): the two checked views centered by their column
-    means, or by the given (mu1, mu2), and stacked side by side. The one
-    front end of every two-view fit and likelihood."""
-    y1 = as_matrix(y1, "y1")
-    y2 = as_matrix(y2, "y2")
-    if y2.shape[0] != y1.shape[0]:
-        raise ValueError(f"row-count mismatch: y1 has {y1.shape[0]}, y2 has {y2.shape[0]}")
-    mu1, mu2 = (y1.mean(axis=0), y2.mean(axis=0)) if means is None else means
-    for name, y, mu in (("y1", y1, mu1), ("y2", y2, mu2)):
-        if np.shape(mu) != (y.shape[1],):
-            raise ValueError(f"{name} has {y.shape[1]} columns but {np.size(mu)} means")
-    return np.hstack([y1 - mu1, y2 - mu2]), mu1, mu2
-
-
 def cca_fit(y1, y2):
     """Canonical correlation analysis of two views with shared rows.
 
@@ -55,8 +40,8 @@ def cca_fit(y1, y2):
     view needs jitter). Each eigenvalue above 1 + CORR_TOL gives a correlation,
     its excess over one, clamped at 1 and flagged if roundoff puts it above.
     """
-    joint, mu1, _ = _center_views(y1, y2)
-    return _cca_of_covariance(_sample_covariance(joint, mu1.size), mu1.size, joint.shape[0])
+    c, (mu1, _) = _sample_covariance(y1, y2)
+    return _cca_of_covariance(c, mu1.size, len(y1))
 
 
 def _cca_of_covariance(c, d1, n):

@@ -132,9 +132,9 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     n_obs : finite and positive: the number of i.i.d. vectors the Gram
         averages; only scales the reported log-likelihood.
     rank_tol : finite, nonnegative and absolute; eigenvalues in (1, 1 +
-        rank_tol] count as noise. The strict default suits exactly-built
-        Grams with a well-conditioned Sigma (rounding puts their bulk within
-        ~cond(Sigma) eps of 1); sample covariances need room for sampling.
+        max(rank_tol, beta)] count as noise, beta = eps ||R G R||_F ||R^{-1} S||_F^2
+        (R = diag(G)^{-1/2}) bounding how far rounding moves them, so an exactly
+        built Gram's bulk stays out; sample covariances need room for sampling.
 
     Returns
     -------
@@ -157,9 +157,13 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
 
 def _fit_of_spectrum(eig, gram, n_obs, rank_tol):
     """The RcaFit of gram's solved spectrum: as G S = Sigma S D, the loadings are
-    G S_q D_q^{-1} (D_q - I)^{1/2} for whichever Sigma the route whitened."""
-    d = eig.values
-    q = int(np.sum(d > 1.0 + rank_tol))
+    G S_q D_q^{-1} (D_q - I)^{1/2} for whichever Sigma the route whitened. Rounding
+    moves d by up to beta = eps ||R G R||_F ||R^{-1} S||_F^2, R = diag(G)^{-1/2}."""
+    d, g = eig.values, np.maximum(np.diagonal(gram), 0.0)
+    r = np.divide(1.0, np.sqrt(g), out=np.zeros_like(g), where=g > 0)
+    s = eig.vectors * np.sqrt(g)[:, None]
+    beta = np.finfo(float).eps * np.linalg.norm(r[:, None] * gram * r) * np.vdot(s, s)
+    q = int(np.sum(d > 1.0 + max(rank_tol, beta)))
     loadings = gram @ (eig.vectors[:, :q] * (np.sqrt(d[:q] - 1.0) / d[:q]))
     # At the ML solution K = X X' + Sigma has log|K| = log|Sigma| +
     # sum_{i<=q} log d_i and trace(K^{-1} G) = q + sum_{i>q} d_i.
@@ -204,9 +208,14 @@ def log_marginal(y, x, sigma):
         if x.shape[0] != n:
             raise ValueError(f"x has {x.shape[0]} rows, expected {n}")
         k = x @ x.T + sigma
+    return _gaussian_log_density(y @ y.T / d, k, d)
+
+
+def _gaussian_log_density(c, k, count):
+    """Log density of count vectors with second moment c under N(0, k), k whitened."""
     t, logdet, _ = _whitener(k)
-    quad = np.einsum("ij,ij->", t @ (y @ y.T / d), t)  # trace(K^{-1} y y') / d
-    return float(-0.5 * d * (logdet + quad + n * np.log(2.0 * np.pi)))
+    quad = np.einsum("ij,ij->", t @ c, t)  # trace(K^{-1} c)
+    return float(-0.5 * count * (logdet + quad + c.shape[0] * np.log(2.0 * np.pi)))
 
 
 def ppca_fit(y, sigma2):
@@ -217,23 +226,34 @@ def ppca_fit(y, sigma2):
     closed form U_q diag(sqrt(lambda_q - sigma2)) on the 1/n sample
     covariance, with columns for lambda <= sigma2 dropped.
     """
-    y = as_matrix(y, "y")
+    c, (mean,) = _sample_covariance(y)
     if not 0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
-    mean = y.mean(axis=0)
-    return replace(rca_fit(_sample_covariance(y - mean), ScaledIdentity(sigma2),
-                           n_obs=y.shape[0]), mean=mean)
+    return replace(rca_fit(c, ScaledIdentity(sigma2), n_obs=len(y)), mean=mean)
 
 
-def _sample_covariance(y, d1=None):
-    """y' y / n of centered rows y. A column that is not constant and whose variance
-    leaves the normal doubles is named as y's, or as y1's (the first d1) or y2's."""
+def _sample_covariance(*views, means=None):
+    """(c, means): the 1/n covariance of the checked views (y, or y1 and y2) about
+    their column means or the given ones, centered into one buffer freed on return.
+    A non-constant column whose variance leaves the normal doubles is named."""
+    names = ("y",) if len(views) == 1 else ("y1", "y2")
+    views = [as_matrix(y, name) for y, name in zip(views, names)]
+    if len(views[-1]) != len(views[0]):
+        raise ValueError(f"row-count mismatch: y1 has {len(views[0])}, y2 has {len(views[-1])}")
+    means = [y.mean(axis=0) for y in views] if means is None else means
+    for name, y, mu in zip(names, views, means):
+        if np.shape(mu) != (y.shape[1],):
+            raise ValueError(f"{name} has {y.shape[1]} columns but {np.size(mu)} means")
+    edges = np.cumsum([0] + [y.shape[1] for y in views])
+    centered = np.empty((len(views[0]), edges[-1]))
+    for y, mu, a, b in zip(views, means, edges, edges[1:]):
+        np.subtract(y, mu, out=centered[:, a:b])
     with np.errstate(all="ignore"):
-        c = y.T @ y / y.shape[0]
+        c = centered.T @ centered / len(centered)
     var = np.diag(c)
     for j in np.flatnonzero((var < np.finfo(float).tiny) | (var == np.inf)):
-        if var[j] == np.inf or (y[:, j] != y[0, j]).any():
-            view, k = ("y", j) if d1 is None else ("y1", j) if j < d1 else ("y2", j - d1)
-            raise ValueError(f"{view} column {k}: variance {var[j]:.3g} is outside the "
-                             "normal floating-point range; rescale the view")
-    return c
+        if var[j] == np.inf or (centered[:, j] != centered[0, j]).any():
+            v = np.searchsorted(edges, j, side="right") - 1
+            raise ValueError(f"{names[v]} column {j - edges[v]}: variance {var[j]:.3g} is "
+                             "outside the normal floating-point range; rescale the view")
+    return c, means

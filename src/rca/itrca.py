@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cca import _cca_of_covariance, _center_views
-from .core import LowRankPlusNoise, _block_diag, _sample_covariance, log_marginal, rca_fit
+from .cca import _cca_of_covariance
+from .core import LowRankPlusNoise, _block_diag, _gaussian_log_density, _sample_covariance, rca_fit
 from .linalg import as_matrix
 
 
@@ -90,8 +90,8 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200):
     1 + |rho|), and that band drops them while leaving real structure,
     which sits far above it.
     """
-    joint, mu1, mu2 = _center_views(y1, y2)
-    n, d1, d2 = joint.shape[0], mu1.size, mu2.size
+    c, (mu1, mu2) = _sample_covariance(y1, y2)
+    n, d1, d2 = len(y1), mu1.size, mu2.size
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
     if tol is None:
@@ -101,7 +101,6 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200):
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
-    c = _sample_covariance(joint, d1)
     c11, c22 = c[:d1, :d1], c[d1:, d1:]
     sigma1_sq = alpha * np.trace(c11) / d1
     sigma2_sq = alpha * np.trace(c22) / d2
@@ -144,11 +143,11 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200):
 
 def joint_log_marginal(model, y1, y2):
     """Exact Gaussian log likelihood of the two views under the model's
-    joint covariance, summed over rows (views centered by the model means):
-    log_marginal of the centered rows, so the covariance gets rca_fit's
-    jitter policy."""
-    joint, _, _ = _center_views(y1, y2, (model.mu1, model.mu2))
-    return log_marginal(joint.T, None, model.joint_covariance())
+    joint covariance, summed over rows: their covariance about the model means,
+    scored as log_marginal scores its columns, so the joint covariance gets
+    rca_fit's jitter policy."""
+    c, _ = _sample_covariance(y1, y2, means=(model.mu1, model.mu2))
+    return _gaussian_log_density(c, model.joint_covariance(), len(y1))
 
 
 def predict_view1(model, y2, mode="paper"):

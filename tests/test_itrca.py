@@ -263,18 +263,25 @@ def test_two_view_fits_share_one_row_count_check(fit):
 
 
 TWO_VIEW_FITS = {"cca_fit": cca_fit,
-                 "iterative_rca": lambda y1, y2: iterative_rca(y1, y2, alpha=0.3)}
+                 "iterative_rca": lambda y1, y2: iterative_rca(y1, y2, alpha=0.3),
+                 # scores the scaled views under a model fitted to them at scale 1
+                 "joint_log_marginal": lambda y1, y2: joint_log_marginal(
+                     iterative_rca(*make_shared_private(1, n=50)[:2], alpha=0.3), y1, y2)}
 
 
 # (view scales, the column named): a variance that overflows, or underflows
-# below the normal doubles while its column is not constant
-@pytest.mark.parametrize("s1, s2, column", [(1e-160, 1.0, "y1 column 0"),
-                                            (1e-200, 1.0, "y1 column 0"),
-                                            (1e-170, 1e-170, "y1 column 0"),
-                                            (1e160, 1.0, "y1 column 0"),
-                                            (1e200, 1.0, "y1 column 0"),
-                                            (1.0, 1e-160, "y2 column 0")])
-@pytest.mark.parametrize("fit", TWO_VIEW_FITS)
+# below the normal doubles while its column is not constant. About a model's
+# means a shrunken view is only far from them, so joint_log_marginal meets the
+# overflows alone
+OVERFLOWS = [(1e160, 1.0, "y1 column 0"), (1e200, 1.0, "y1 column 0")]
+UNDERFLOWS = [(1e-160, 1.0, "y1 column 0"), (1e-200, 1.0, "y1 column 0"),
+              (1e-170, 1e-170, "y1 column 0"), (1.0, 1e-160, "y2 column 0")]
+
+
+@pytest.mark.parametrize("fit, s1, s2, column",
+                         [(fit, *case) for fit in ("cca_fit", "iterative_rca")
+                          for case in UNDERFLOWS + OVERFLOWS]
+                         + [("joint_log_marginal", *case) for case in OVERFLOWS])
 def test_two_view_fits_name_a_view_outside_the_normal_range(fit, s1, s2, column):
     y1, y2, _ = make_shared_private(1, n=50)
     with warnings.catch_warnings():

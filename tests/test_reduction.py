@@ -3,6 +3,7 @@ covariance specs against their dense forms, joint scaling and congruence,
 the likelihood against a direct evaluation, and the jitter and semidefiniteness rules at
 their thresholds."""
 
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -21,7 +22,7 @@ from rca.core import (
     rca_fit,
 )
 from rca.cca import CORR_TOL, cca_fit
-from rca.itrca import iterative_rca
+from rca.itrca import iterative_rca, joint_log_marginal
 from rca.synth import make_shared_private
 from rca.linalg import JITTER_FLOOR, JITTER_SCALE, LEAF, NotPositiveDefiniteError, _tri_inv
 
@@ -227,6 +228,22 @@ def test_congruence_maps_the_loadings_and_shifts_the_likelihood(seed):
     assert np.linalg.norm(fit.loadings * signs - mapped) <= 1e-7 * np.linalg.norm(mapped)
     shift = -N_OBS * np.linalg.slogdet(m)[1]
     assert fit.log_likelihood == pytest.approx(base.log_likelihood + shift, rel=1e-8)
+
+
+@pytest.mark.parametrize("seed", [411, 416, 423, 434])
+def test_rank_rule_clears_the_rounding_of_an_exact_gram(seed):
+    # an exactly built Sigma + W W' has its bulk on 1 only up to rounding; on
+    # these seeds congruence put a bulk eigenvalue past RANK_TOL, and only the
+    # rounding bound beta = eps ||R G R||_F ||R^{-1} S||_F^2 keeps it out
+    rng = np.random.default_rng(seed)
+    p = 30
+    sigma = random_spd(rng, p)
+    gram = planted_gram(rng, sigma)
+    m = np.eye(p) + 0.3 * rng.standard_normal((p, p))
+    assert rca_fit(gram, Explicit(sigma)).q == 3
+    fit = rca_fit(m @ gram @ m.T, Explicit(m @ sigma @ m.T))
+    assert fit.eig.values[3] > 1.0 + RANK_TOL
+    assert fit.q == 3
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -513,6 +530,24 @@ def test_iterative_rca_budget_does_not_grow_with_n(lapack_calls):
     assert calls["cholesky"] == calls["inv"] == 2
     assert calls["eigh"] == 3 * passes
     assert calls["svd"] == 3 * passes + 1
+
+
+@pytest.mark.parametrize("fit", ["cca_fit", "iterative_rca", "joint_log_marginal"])
+def test_two_view_fits_hold_one_centered_copy(fit):
+    # the views' centered rows go into one buffer that the covariance empties
+    # before the solve; centering each view and then stacking them peaks at 2x
+    y1, y2, _ = make_shared_private(7, n=20000, d1=10, d2=10)
+    model = iterative_rca(y1, y2, alpha=0.3)
+    run = {"cca_fit": lambda: cca_fit(y1, y2),
+           "iterative_rca": lambda: iterative_rca(y1, y2, alpha=0.3),
+           "joint_log_marginal": lambda: joint_log_marginal(model, y1, y2)}[fit]
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (y1.nbytes + y2.nbytes)
 
 
 # ---------------------------------------------------------------- validation budget
