@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlockDiagonal, RcaFit, _block_diag, _fit_of_spectrum, _sample_covariance, rca_fit
-from .linalg import GenEig, NotPositiveDefiniteError, _signed, _whitener
+from .core import RcaFit, _fit_of_spectrum, _sample_covariance, rca_fit  # noqa: F401, re-exported
+from .linalg import GenEig, _block_diag, _signed, _whitened_eig, _whitener
 
 # Correlations below this are indistinguishable from zero and dropped;
 # values above 1 by less than this are clamped (rank-deficiency artifacts).
@@ -36,33 +36,28 @@ def cca_fit(y1, y2):
     """Canonical correlation analysis of two views with shared rows.
 
     Views are centered internally; covariances use the 1/n convention. A
-    whitener per view and one SVD give the spectrum (rca_fit's joint solve if a
-    view needs jitter). Each eigenvalue above 1 + CORR_TOL gives a correlation,
-    its excess over one, clamped at 1 and flagged if roundoff puts it above.
+    whitener per view and one SVD give the spectrum (one joint eigh on the same
+    whiteners if a view needs jitter). Each eigenvalue above 1 + CORR_TOL gives
+    a correlation, its excess over one, clamped at 1 and flagged if above.
     """
     c, (mu1, _) = _sample_covariance(y1, y2)
     return _cca_of_covariance(c, mu1.size, len(y1))
 
 
 def _cca_of_covariance(c, d1, n):
-    """cca_fit's solve, from the joint 1/n covariance c of n rows whose
-    first d1 columns are view 1."""
-    c11, c22 = c[:d1, :d1], c[d1:, d1:]
-    try:
-        t1, logdet1, jitter = _whitener(c11)
-        if not jitter:
-            t2, logdet2, jitter = _whitener(c22)
-    except NotPositiveDefiniteError:  # e.g. a constant view: the joint jitter rescues it
-        jitter = 1.0
+    """cca_fit's solve, from the joint 1/n covariance c of n rows whose first d1
+    columns are view 1: rca_fit(c, BlockDiagonal((C11, C22))) by one _whitener."""
+    ts, logdet, jitter = _whitener(c[:d1, :d1], c[d1:, d1:])
     if jitter:  # a jittered view is not I once whitened: solve jointly
-        fit = rca_fit(c, BlockDiagonal((c11, c22)), n_obs=n, rank_tol=CORR_TOL)
+        eig = _whitened_eig(c, ts, logdet, jitter)
     else:
-        u, rho, wt = np.linalg.svd(t1 @ c[:d1, d1:] @ t2.T)
-        a, b, m = t1.T @ u, t2.T @ wt.T, rho.size
+        u, rho, wt = np.linalg.svd(ts[0] @ c[:d1, d1:] @ ts[1].T)
+        a, b, m = ts[0].T @ u, ts[1].T @ wt.T, rho.size
         pair = [np.vstack([a[:, :m], sign * b[:, :m]]) * np.sqrt(0.5) for sign in (1, -1)]
         s = np.hstack([pair[0], _block_diag([a[:, m:], b[:, m:]]), pair[1][:, ::-1]])
         values = np.concatenate([1.0 + rho, np.ones(c.shape[0] - 2 * m), 1.0 - rho[::-1]])
-        fit = _fit_of_spectrum(GenEig(values, _signed(s), logdet1 + logdet2, 0.0), c, n, CORR_TOL)
+        eig = GenEig(values, _signed(s), logdet, 0.0)
+    fit = _fit_of_spectrum(eig, c, n, CORR_TOL)
 
     correlations = fit.eig.values[:fit.q] - 1.0
     clamped = bool((correlations > 1.0).any())

@@ -14,8 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (JITTER_FLOOR, GenEig, _frobenius, _whitener, as_matrix,
-                     check_square_symmetric, gen_eig_lowrank, gen_eig_spd)
+from .linalg import (JITTER_FLOOR, GenEig, _block_diag, _frobenius, _whitened_eig, _whitener,
+                     as_matrix, check_square_symmetric, gen_eig_lowrank, gen_eig_spd)
 
 # Eigenvalues within RANK_TOL above 1 are treated as noise and dropped.
 RANK_TOL = 1e-10
@@ -26,8 +26,8 @@ LOW_RANK_LIMIT = 1e5
 
 # ------------------------------------------------------------------ covariance specs
 #
-# Each spec checks only what it was given. rca_fit reduces a spec with parts by
-# them, checking the gram once; gen_eig_spd checks the gram and any dense Sigma.
+# Each spec checks only what it was given. rca_fit reduces a spec with parts or
+# blocks by them, checking the gram once; gen_eig_spd checks it and any dense Sigma.
 
 @dataclass(frozen=True)
 class Explicit:
@@ -83,24 +83,16 @@ class BlockDiagonal:
     blocks: tuple
 
     def materialize(self, dim):
-        blocks = [np.asarray(b, dtype=float) for b in self.blocks]
-        for i, b in enumerate(blocks):
-            if b.ndim != 2 or b.shape[0] != b.shape[1]:
-                raise ValueError(f"block {i} must be square, got shape {b.shape}")
-        total = sum(b.shape[0] for b in blocks)
-        if total != dim:
-            raise ValueError(f"blocks sum to dimension {total}, expected {dim}")
-        return _block_diag(blocks)
+        return _block_diag(_checked_blocks(self.blocks, dim))
 
 
-def _block_diag(blocks):
-    """The 2-D blocks placed corner to corner down the diagonal of zeros."""
-    out = np.zeros(np.sum([b.shape for b in blocks], axis=0, dtype=int))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
+def _checked_blocks(blocks, dim):
+    """The blocks but (0, 0) ones, each checked square and symmetric, summing to dim."""
+    blocks = [check_square_symmetric(b, f"block {i}")
+              for i, b in enumerate(blocks) if np.shape(b) != (0, 0)]
+    if (total := sum(b.shape[0] for b in blocks)) != dim:
+        raise ValueError(f"blocks sum to dimension {total}, expected {dim}")
+    return blocks
 
 
 # ------------------------------------------------------------------ fits
@@ -173,17 +165,20 @@ def _fit_of_spectrum(eig, gram, n_obs, rank_tol):
 
 
 def _reduce(gram, spec, p):
-    """(GenEig, trace(Sigma)), Sigma with any jitter. A spec with parts clear of
-    the jitter floor (so none can fire) and of LOW_RANK_LIMIT skips Sigma."""
+    """(GenEig, trace(Sigma)), Sigma with any jitter. Blocks are whitened one by
+    one; parts clear of the jitter floor and LOW_RANK_LIMIT skip Sigma."""
     if hasattr(spec, "parts"):
         f, v = spec.parts(p)
         rows = np.einsum("ij,ij->i", f, f)  # squared row norms of F
         trace = np.sum(v + rows)
         if v.min() * p > JITTER_FLOOR * trace and np.sum(rows / v) <= LOW_RANK_LIMIT:
             return gen_eig_lowrank(check_square_symmetric(gram, "gram"), f, v), trace
-    sig = spec.materialize(p)
-    eig = gen_eig_spd(gram, sig)
-    return eig, np.trace(sig) + p * eig.jitter
+    if not isinstance(spec, BlockDiagonal):
+        eig = gen_eig_spd(gram, sig := spec.materialize(p))
+        return eig, np.trace(sig) + p * eig.jitter
+    blocks = _checked_blocks(spec.blocks, p)
+    eig = _whitened_eig(check_square_symmetric(gram, "gram"), *_whitener(*blocks))
+    return eig, sum(np.trace(b) for b in blocks) + p * eig.jitter
 
 
 def log_marginal(y, x, sigma):
@@ -213,7 +208,7 @@ def log_marginal(y, x, sigma):
 
 def _gaussian_log_density(c, k, count):
     """Log density of count vectors with second moment c under N(0, k), k whitened."""
-    t, logdet, _ = _whitener(k)
+    (t,), logdet, _ = _whitener(k)
     quad = np.einsum("ij,ij->", t @ c, t)  # trace(K^{-1} c)
     return float(-0.5 * count * (logdet + quad + c.shape[0] * np.log(2.0 * np.pi)))
 
@@ -226,9 +221,9 @@ def ppca_fit(y, sigma2):
     closed form U_q diag(sqrt(lambda_q - sigma2)) on the 1/n sample
     covariance, with columns for lambda <= sigma2 dropped.
     """
-    c, (mean,) = _sample_covariance(y)
     if not 0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
+    c, (mean,) = _sample_covariance(y)
     return replace(rca_fit(c, ScaledIdentity(sigma2), n_obs=len(y)), mean=mean)
 
 

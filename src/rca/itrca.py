@@ -90,16 +90,15 @@ def iterative_rca(y1, y2, alpha, tol=None, max_iter=200):
     1 + |rho|), and that band drops them while leaving real structure,
     which sits far above it.
     """
-    c, (mu1, mu2) = _sample_covariance(y1, y2)
-    n, d1, d2 = len(y1), mu1.size, mu2.size
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly inside (0, 1), got {alpha}")
-    if tol is None:
-        tol = 1e-6 * n * (d1 + d2)
-    if not tol > 0:
+    if not (tol is None or tol > 0):
         raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1 and an integer, got {max_iter}")
+    c, (mu1, mu2) = _sample_covariance(y1, y2)
+    n, d1, d2 = len(y1), mu1.size, mu2.size
+    tol = 1e-6 * n * (d1 + d2) if tol is None else tol
 
     c11, c22 = c[:d1, :d1], c[d1:, d1:]
     sigma1_sq = alpha * np.trace(c11) / d1

@@ -43,8 +43,9 @@ class KernelSpec:
             return self.noise
         if data_variance is None:
             raise ValueError("fraction noise mode needs the data variance")
-        if data_variance < 0:
-            raise ValueError(f"data variance must be nonnegative, got {data_variance}")
+        if not 0 <= data_variance < np.inf:
+            kind = "nonnegative" if data_variance < 0 else "finite"
+            raise ValueError(f"data variance must be {kind}, got {data_variance}")
         return self.noise * data_variance
 
 

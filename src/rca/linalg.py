@@ -2,9 +2,9 @@
 
 Each route reduces ``A S = Sigma S D`` to one symmetric eigenproblem C = T A T'
 = V D V', S = T' V with T Sigma T' = I, which also gives log|Sigma|. A dense
-Sigma = L L' takes T = L^{-1} (Golub & Van Loan, Matrix Computations, 8.7), by
-a batched blocked triangular inverse (_tri_inv); a diagonal-plus-low-rank
-Sigma = D + F F' is never formed (gen_eig_lowrank).
+Sigma takes T = blockdiag(L_k^{-1}), L_k L_k' its k-th diagonal block (Golub &
+Van Loan, Matrix Computations, 8.7), by a batched blocked triangular inverse
+(_tri_inv); Sigma = D + F F' is never formed (gen_eig_lowrank).
 """
 
 from dataclasses import dataclass
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Relative symmetry tolerance for inputs, and the floor/jitter policy for
-# near-singular covariances: floor = JITTER_FLOOR * trace/dim, and one shot
-# of JITTER_SCALE * trace/dim is added if the smallest eigenvalue sits at or
-# below the floor.
+# near-singular covariances: floor = JITTER_FLOOR * trace/dim per diagonal
+# block, and one shot of JITTER_SCALE * trace/dim of the whole is added if a
+# block's smallest eigenvalue sits at or below its floor.
 SYMMETRY_RTOL = 1e-10
 JITTER_FLOOR = 1e-12
 JITTER_SCALE = 1e-10
@@ -90,34 +90,44 @@ def _tri_inv(l):
     return t[:p, :p]
 
 
-def _whitener(sigma):
-    """(T, log|sigma_eff|, jitter) with T sigma_eff T' = I, sigma_eff being
-    sigma plus jitter times the identity: the one place a dense covariance
-    is factored and the jitter policy applied. sigma must be checked square
-    and symmetric. T is L^{-1} (_tri_inv) when 1 / ||L^{-1}||_F^2 =
-    1 / trace(sigma^{-1}) <= lambda_min clears the floor. Otherwise one eigh
-    of sigma decides: jitter is JITTER_SCALE * trace/dim if the smallest
-    eigenvalue sits at or below the floor, else 0 (sigma + jitter I shares
-    sigma's eigenvectors), and T = Lambda^{-1/2} U'. Raises
-    NotPositiveDefiniteError, naming the eigenvalue, if jitter fails to help.
-    """
-    scale = np.trace(sigma) / sigma.shape[0]
+def _whitener(*blocks):
+    """([T_k], log|sigma_eff|, jitter), T_k (B_k + jitter I) T_k' = I for each checked
+    symmetric block B_k of sigma = blockdiag(blocks): the one place a covariance is
+    factored and the jitter policy applied. T_k = L_k^{-1} (_tri_inv) if every
+    1 / ||L_k^{-1}||_F^2 = 1 / trace(B_k^{-1}) <= lambda_min(B_k) clears B_k's floor;
+    else each B_k's eigh decides, T_k = Lambda_k^{-1/2} U_k', with jitter (B_k +
+    jitter I shares B_k's eigenvectors) if some block's smallest eigenvalue is at
+    or below its floor. Raises NotPositiveDefiniteError, naming the eigenvalue,
+    if jitter fails to help."""
+    scales = [np.diagonal(b).mean() for b in blocks]
     try:
-        chol = np.linalg.cholesky(sigma)
+        chols = [np.linalg.cholesky(b) for b in blocks]
         with np.errstate(over="ignore", invalid="ignore"):  # inf/nan T fails the bound
-            t = _tri_inv(chol)
-        if 1.0 / np.einsum("ij,ij->", t, t) > JITTER_FLOOR * scale:
-            return t, 2.0 * float(np.log(np.diag(chol)).sum()), 0.0
+            ts = [_tri_inv(chol) for chol in chols]
+        if all(1.0 / np.einsum("ij,ij->", t, t) > JITTER_FLOOR * s for t, s in zip(ts, scales)):
+            return ts, float(sum(2.0 * np.log(np.diag(chol)).sum() for chol in chols)), 0.0
     except np.linalg.LinAlgError:
         pass
-    values, vectors = np.linalg.eigh(sigma)
-    jitter = JITTER_SCALE * scale if values[0] <= JITTER_FLOOR * scale else 0.0
-    values = values + jitter
-    if values[0] <= JITTER_FLOOR * (scale + jitter):
-        raise NotPositiveDefiniteError(
-            f"covariance not positive definite: smallest eigenvalue "
-            f"{values[0]:.6e} after jitter")
-    return vectors.T / np.sqrt(values)[:, None], float(np.log(values).sum()), jitter
+    eigs = [np.linalg.eigh(b) for b in blocks]
+    fire = any(v[0] <= JITTER_FLOOR * s for (v, _), s in zip(eigs, scales))
+    jitter = JITTER_SCALE * np.concatenate([np.diagonal(b) for b in blocks]).mean() if fire else 0.0
+    eigs = [(v + jitter, u) for v, u in eigs]
+    for (v, _), s in zip(eigs, scales):
+        if v[0] <= JITTER_FLOOR * (s + jitter):
+            raise NotPositiveDefiniteError(
+                f"covariance not positive definite: smallest eigenvalue {v[0]:.6e} after jitter")
+    return ([u.T / np.sqrt(v)[:, None] for v, u in eigs],
+            float(sum(np.log(v).sum() for v, _ in eigs)), jitter)
+
+
+def _block_diag(blocks):
+    """The 2-D blocks placed corner to corner down the diagonal of zeros."""
+    out = np.zeros(np.sum([b.shape for b in blocks], axis=0, dtype=int))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
 
 
 def _signed(s):
@@ -148,7 +158,12 @@ def gen_eig_spd(a, sigma):
     dim, v = a.shape[0], sigma[0, 0]
     if v > 0 and np.count_nonzero(sigma) == dim and (np.diagonal(sigma) == v).all():
         return gen_eig_lowrank(a, np.zeros((dim, 0)), v)
-    t, logdet, jitter = _whitener(sigma)
+    return _whitened_eig(a, *_whitener(sigma))
+
+
+def _whitened_eig(a, ts, logdet, jitter):
+    """_eig_tail of C = T A T', S = T' V for T = blockdiag(ts) of _whitener."""
+    t = ts[0] if len(ts) == 1 else _block_diag(ts)
     return _eig_tail(t @ a @ t.T, lambda w: t.T @ w, logdet, jitter)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from rca.cca import CORR_TOL, cca_fit
 from rca.core import BlockDiagonal, rca_fit
+from rca.linalg import JITTER_FLOOR
 
 from oracles import cca_correlations
 
@@ -163,20 +164,17 @@ def _joint_covariance(y1, y2):
     return joint.T @ joint / joint.shape[0]
 
 
-# The joint solve makes one cholesky and two eigh, plus one eigvalsh where
-# the smallest eigenvalue leaves semidefiniteness open; view 1's whitener
-# adds a cholesky and an eigh, and view 2's is never computed once view 1's
-# has jitter.
-@pytest.mark.parametrize("y1,y2,calls", [
-    pytest.param(_wide[:, :25], _wide[:, 25:], Counter(cholesky=2, eigh=3, eigvalsh=1),
-                 id="wider_than_n"),
-    pytest.param(_collinear[:, :3], _collinear[:, 3:], Counter(cholesky=2, eigh=3),
-                 id="collinear_column"),
-    pytest.param(_wide[:, :25], _wide[:, :25].copy(), Counter(cholesky=2, eigh=3, eigvalsh=1),
-                 id="identical_wider_than_n"),
-    pytest.param(np.ones((20, 3)), _wide[:, :4], Counter(cholesky=2, eigh=3),
-                 id="constant_view")])
-def test_views_that_need_jitter_take_the_joint_solve(lapack_calls, y1, y2, calls):
+# View 1's cholesky fails, so view 2 is never factored: each view takes one
+# eigh, and the joint solve on those whiteners one more.
+JITTER_CALLS = Counter(cholesky=1, eigh=3)
+
+
+@pytest.mark.parametrize("y1,y2", [
+    pytest.param(_wide[:, :25], _wide[:, 25:], id="wider_than_n"),
+    pytest.param(_collinear[:, :3], _collinear[:, 3:], id="collinear_column"),
+    pytest.param(_wide[:, :25], _wide[:, :25].copy(), id="identical_wider_than_n"),
+    pytest.param(np.ones((20, 3)), _wide[:, :4], id="constant_view")])
+def test_views_that_need_jitter_take_the_joint_solve(lapack_calls, y1, y2):
     # a jittered view is not the identity once whitened, so the per-view
     # closed form does not hold; the fit is then exactly the joint rca_fit
     d1, n = y1.shape[1], y1.shape[0]
@@ -184,7 +182,7 @@ def test_views_that_need_jitter_take_the_joint_solve(lapack_calls, y1, y2, calls
     ref = rca_fit(c, BlockDiagonal((c[:d1, :d1], c[d1:, d1:])), n_obs=n, rank_tol=CORR_TOL)
     lapack_calls.clear()
     fit = cca_fit(y1, y2).fit
-    assert lapack_calls == calls
+    assert lapack_calls == JITTER_CALLS
     assert ref.eig.jitter > 0
     for got, want in ((fit.eig.values, ref.eig.values), (fit.eig.vectors, ref.eig.vectors),
                       (fit.loadings, ref.loadings)):
@@ -193,19 +191,47 @@ def test_views_that_need_jitter_take_the_joint_solve(lapack_calls, y1, y2, calls
         (ref.eig.jitter, ref.eig.sigma_logdet, ref.q, ref.log_likelihood)
 
 
+def test_view_failing_only_the_cholesky_bound_takes_the_closed_form(lapack_calls):
+    # two eigenvalues of C11 at 1.5x its floor: lambda_min clears the floor but
+    # 1 / trace(C11^{-1}) ~ 0.75x of it does not, so both views are whitened by
+    # eigh, nothing is jittered, and one SVD with no joint eigh still solves it
+    rng = np.random.default_rng(15)
+    n, bulk = 200, np.array([4.0, 3.0, 2.0, 1.0])
+    floor = JITTER_FLOOR * bulk.sum() / 6
+    # w: n centered rows with identity covariance; y1 = w diag(sqrt(values)) V'
+    q = np.linalg.qr(np.hstack([np.ones((n, 1)), rng.standard_normal((n, 6))]))[0]
+    w = np.sqrt(n) * q[:, 1:]
+    v = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    y1 = w * np.sqrt(np.append(bulk, [1.5 * floor, 1.5 * floor])) @ v.T
+    y2 = y1[:, :3] @ rng.standard_normal((3, 4)) + rng.standard_normal((n, 4))
+    lapack_calls.clear()
+    fit = cca_fit(y1, y2)
+    assert lapack_calls == Counter(cholesky=2, inv=2, eigh=2, svd=1)
+    assert fit.fit.eig.jitter == 0.0
+    # CCA is invariant to y1 -> w, whose covariance is I, so the oracle reads
+    # the correlations there; the rounding of y1 itself (eps ||C11|| against
+    # eigenvalues of 2.5e-12) moves them by up to ~1e-5
+    want = cca_correlations(w, y2)
+    np.testing.assert_allclose(fit.correlations, want[want > CORR_TOL], rtol=0, atol=1e-4)
+
+
 def test_views_scaled_1e12_apart_need_no_jitter():
-    # the joint jitter rule sees trace/dim dominated by the large view and
-    # jitters blockdiag(C11, C22); each view's own rule does not, so the
-    # closed form runs unjittered and CCA stays invariant to the scale
+    # a floor from the joint trace/dim, dominated by the large view, would
+    # jitter blockdiag(C11, C22); each block's own floor does not, so both the
+    # closed form and the BlockDiagonal fit run unjittered and CCA stays
+    # invariant to the scale
     rng = np.random.default_rng(13)
     y1, y2 = make_views(rng, 200, 6, 4)
     big = 1e6 * y1
     c = _joint_covariance(big, y2)
     sigma = c.copy()
     sigma[:6, 6:] = sigma[6:, :6] = 0.0
-    assert rca_fit(c, BlockDiagonal((c[:6, :6], c[6:, 6:])), rank_tol=CORR_TOL).eig.jitter > 0
+    blocks = rca_fit(c, BlockDiagonal((c[:6, :6], c[6:, 6:])), rank_tol=CORR_TOL)
+    assert blocks.eig.jitter == 0.0
     fit = cca_fit(big, y2)
     s, d = fit.fit.eig.vectors, fit.fit.eig.values
     assert fit.fit.eig.jitter == 0.0
     assert np.linalg.norm(c @ s - sigma @ s * d) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(s)
     np.testing.assert_allclose(fit.correlations, cca_fit(y1, y2).correlations, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(blocks.eig.values[:blocks.q] - 1.0, fit.correlations,
+                               rtol=0, atol=1e-12)

@@ -272,6 +272,15 @@ def test_ppca_rejects_bad_sigma2():
             ppca_fit(np.ones((3, 2)), sigma2)
 
 
+def test_ppca_checks_sigma2_before_the_covariance(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("covariance formed")
+
+    monkeypatch.setattr("rca.core._sample_covariance", forbidden)
+    with pytest.raises(ValueError, match="sigma2"):
+        ppca_fit(np.ones((3, 2)), -1.0)
+
+
 def test_ppca_log_likelihood_equals_primal_marginal():
     rng = np.random.default_rng(33)
     y = rng.standard_normal((12, 4)) * [2.0, 1.5, 1.0, 0.5]

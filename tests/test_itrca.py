@@ -249,6 +249,28 @@ def test_input_validation():
         iterative_rca(y1, y2, alpha=0.2, tol=float("nan"))
 
 
+@pytest.mark.parametrize("kwargs,name", [
+    ({"alpha": 1.5}, "alpha"), ({"alpha": 0.2, "tol": -1.0}, "tol"),
+    ({"alpha": 0.2, "max_iter": 0}, "max_iter must be at least 1"),
+    ({"alpha": 0.2, "max_iter": 2.5}, "max_iter must be at least 1 and an integer, got 2.5"),
+    ({"alpha": 0.2, "max_iter": float("inf")}, "max_iter .* got inf")])
+def test_scalar_arguments_are_checked_before_the_covariance(monkeypatch, kwargs, name):
+    # a bad scalar costs no O(n d^2) pass over the views, and a non-integer
+    # max_iter is named rather than left to range()'s TypeError
+    def forbidden(*args, **kw):
+        raise AssertionError("covariance formed")
+
+    y1, y2, _ = make_shared_private(1, n=50)
+    monkeypatch.setattr(rca.itrca, "_sample_covariance", forbidden)
+    with pytest.raises(ValueError, match=name):
+        iterative_rca(y1, y2, **kwargs)
+
+
+def test_integer_max_iter_of_any_integer_type_runs():
+    y1, y2, _ = make_shared_private(1, n=50)
+    assert iterative_rca(y1, y2, alpha=0.2, max_iter=np.int64(1)).n_iter == 1
+
+
 @pytest.mark.parametrize("fit", ["cca_fit", "iterative_rca", "joint_log_marginal"])
 def test_two_view_fits_share_one_row_count_check(fit):
     y1, y2, _ = make_shared_private(1, n=50)

@@ -49,6 +49,16 @@ def test_fraction_mode_uses_data_variance():
         rbf_gram([0.0, 50.0], spec, data_variance=-1.0)
 
 
+@pytest.mark.parametrize("bad,message", [(np.nan, "finite, got nan"), (np.inf, "finite, got inf"),
+                                         (-np.inf, "nonnegative, got -inf")])
+def test_non_finite_data_variance_is_rejected(bad, message):
+    # a NaN would otherwise reach the noise diagonal unnoticed
+    with pytest.raises(ValueError, match=f"data variance must be {message}"):
+        rbf_gram(np.arange(3.0), KernelSpec(), data_variance=bad)
+    with pytest.raises(ValueError, match=f"data variance must be {message}"):
+        KernelSpec().noise_variance(bad)
+
+
 @pytest.mark.parametrize("times, message", [
     ([[0.0, 20.0]], "times must be a nonempty 1-D vector"),
     ([], "times must be a nonempty 1-D vector"),

@@ -331,6 +331,41 @@ def test_log_marginal_scores_a_singular_covariance_with_the_jitter():
     assert log_marginal(y, None, sigma) == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_block_rescaling_keeps_the_block_diagonal_fit(seed):
+    # P = blockdiag(1e6 I, I) sends G to P G P and Sigma to P Sigma P, which
+    # keeps the generalized spectrum. Each block has its own jitter floor, so
+    # neither fit jitters; one floor from the joint trace/dim, about
+    # trace(b1) / 12 ~ 1 once rescaled, would sit above b2's spectrum (~0.1)
+    # and jitter the rescaled fit.
+    rng = np.random.default_rng(960 + seed)
+    b1, b2 = random_spd(rng, 7), 0.1 * random_spd(rng, P - 7)
+    sigma = np.zeros((P, P))
+    sigma[:7, :7], sigma[7:, 7:] = b1, b2
+    gram = planted_gram(rng, sigma)
+    d = np.repeat([1e6, 1.0], [7, P - 7])
+    base = rca_fit(gram, BlockDiagonal((b1, b2)), n_obs=N_OBS)
+    fit = rca_fit(d[:, None] * gram * d, BlockDiagonal((1e12 * b1, b2)), n_obs=N_OBS)
+    assert base.eig.jitter == fit.eig.jitter == 0.0
+    assert fit.q == base.q
+    np.testing.assert_allclose(fit.eig.values, base.eig.values, rtol=1e-10, atol=0)
+
+
+def test_an_empty_block_is_dropped():
+    fit = rca_fit(np.eye(2), BlockDiagonal((np.zeros((0, 0)), np.eye(2))))
+    assert fit.eig.values.shape == (2,) and fit.eig.jitter == 0.0
+
+
+def test_blocks_are_named_in_errors():
+    with pytest.raises(ValueError, match="block 1 is not symmetric"):
+        rca_fit(np.eye(3), BlockDiagonal((np.eye(1), np.array([[1.0, 0.5], [0.0, 1.0]]))))
+    with pytest.raises(ValueError, match="blocks sum to dimension 2, expected 3"):
+        rca_fit(np.eye(3), BlockDiagonal((np.zeros((0, 0)), np.eye(2))))
+    # only a 0 x 0 block is dropped as empty
+    with pytest.raises(ValueError, match="block 0 must be"):
+        rca_fit(np.eye(2), BlockDiagonal((np.zeros((0, 3)), np.eye(2))))
+
+
 @pytest.mark.parametrize("values", [[1.0, 2.0, -1.0], [3.0, -1e-3, 2.0],
                                     [-1.0, -2.0, -3.0]])
 def test_indefinite_sigma_raises_naming_the_eigenvalue(values):
@@ -388,7 +423,9 @@ def test_dense_fit_factors_once_and_solves_once(lapack_calls, kind, p):
     if kind == "lowrank":
         assert lapack_calls == Counter(eigh=1, svd=1)
         return
-    assert lapack_calls == Counter(eigh=1, cholesky=1, inv=1)
+    # a BlockDiagonal is factored block by block
+    per_block = len(spec.blocks) if kind == "blocks" else 1
+    assert lapack_calls == Counter(eigh=1, cholesky=per_block, inv=per_block)
 
 
 def test_low_rank_fit_builds_no_dense_sigma(monkeypatch):
@@ -406,6 +443,22 @@ def test_low_rank_fit_builds_no_dense_sigma(monkeypatch):
     assert rca_fit(gram, spec).eig.jitter == 0.0
     assert rca_fit(gram, ScaledIdentity(0.8)).eig.jitter == 0.0
     assert ppca_fit(rng.standard_normal((40, P)), 0.5).mean.shape == (P,)
+
+
+def test_block_fits_build_no_dense_sigma(monkeypatch):
+    # a BlockDiagonal is whitened block by block, and CCA (closed form or
+    # jittered) and iterative_rca's start whiten their views the same way
+    def forbidden(*args):
+        raise AssertionError("dense Sigma built")
+
+    monkeypatch.setattr(BlockDiagonal, "materialize", forbidden)
+    rng = np.random.default_rng(908)
+    gram = planted_gram(rng, np.eye(P))
+    assert rca_fit(gram, dense_specs(rng)["blocks"]).eig.jitter == 0.0
+    y1, y2, _ = make_shared_private(0, n=100)
+    assert cca_fit(y1, y2).fit.eig.jitter == 0.0
+    assert cca_fit(np.ones((20, 3)), y2[:20]).fit.eig.jitter > 0.0
+    assert iterative_rca(y1, y2, alpha=0.3).start_rank > 0
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -580,13 +633,14 @@ def symmetry_checks(monkeypatch):
 def test_each_fit_checks_gram_and_sigma_once(symmetry_checks, kind):
     # gen_eig_spd checks the gram and the dense Sigma; the specs check shapes.
     # A spec with parts (low-rank, scaled identity) has no square Sigma: it
-    # checks its own parts, so only the gram gets a symmetry check.
+    # checks its own parts, so only the gram gets a symmetry check. A
+    # BlockDiagonal checks each block once, and the gram.
     rng = np.random.default_rng(903)
     specs = dict(dense_specs(rng), identity=ScaledIdentity(0.8))
     gram = planted_gram(rng, np.eye(P))
     symmetry_checks[0] = 0
     rca_fit(gram, specs[kind])
-    assert symmetry_checks[0] == (1 if kind in ("lowrank", "identity") else 2)
+    assert symmetry_checks[0] == {"lowrank": 1, "identity": 1, "explicit": 2, "blocks": 3}[kind]
 
 
 def test_fit_wrappers_check_gram_and_sigma_once(symmetry_checks):
