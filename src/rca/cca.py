@@ -13,8 +13,8 @@ import numpy as np
 from .core import RcaFit, _fit_of_spectrum, _sample_covariance, rca_fit  # noqa: F401, re-exported
 from .linalg import GenEig, _block_diag, _signed, _whitened_eig, _whitener
 
-# Correlations below this are indistinguishable from zero and dropped;
-# values above 1 by less than this are clamped (rank-deficiency artifacts).
+# Correlations at or below this are indistinguishable from zero and dropped.
+# Every correlation above 1 (a rank-deficiency artifact) is clamped and flagged.
 CORR_TOL = 1e-8
 
 

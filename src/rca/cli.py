@@ -15,22 +15,9 @@ import numpy as np
 
 from . import synth
 from .cca import cca_fit
-from .core import (
-    BlockDiagonal,
-    Explicit,
-    LowRankPlusNoise,
-    ScaledIdentity,
-    ppca_fit,
-    rca_fit,
-)
+from .core import BlockDiagonal, Explicit, LowRankPlusNoise, ScaledIdentity, ppca_fit, rca_fit
 from .diffexpr import TimeSeriesPair, residual_scores, roc_curve
-from .io import (
-    atomic_write_text,
-    format_manifest,
-    load_csv,
-    read_manifest,
-    save_csv,
-)
+from .io import atomic_write_text, format_manifest, load_csv, read_manifest, save_csv
 from .itrca import SharedPrivateModel, iterative_rca, predict_view1, rms_error
 from .kernels import ABSOLUTE, FRACTION, KernelSpec
 
@@ -213,10 +200,8 @@ def cmd_synth_shared(args):
         args.seed, n=args.n, d1=args.d1, d2=args.d2,
         q_shared=args.q_shared, q1=args.q1, q2=args.q2,
         noise_sd=args.noise_sd)
-    artifacts = {"y1.csv": y1, "y2.csv": y2}
-    for key in ("v1", "v2", "w1", "w2"):
-        artifacts[f"{key}_true.csv"] = truth[key]
-    return artifacts, {"sigma1_sq_true": truth["sigma1_sq"]}
+    truths = {f"{key}_true.csv": truth[key] for key in ("v1", "v2", "w1", "w2")}
+    return {"y1.csv": y1, "y2.csv": y2, **truths}, {"sigma1_sq_true": truth["sigma1_sq"]}
 
 
 def _commit(args, artifacts, results):

@@ -153,8 +153,11 @@ def _fit_of_spectrum(eig, gram, n_obs, rank_tol):
     moves d by up to beta = eps ||R G R||_F ||R^{-1} S||_F^2, R = diag(G)^{-1/2}."""
     d, g = eig.values, np.maximum(np.diagonal(gram), 0.0)
     r = np.divide(1.0, np.sqrt(g), out=np.zeros_like(g), where=g > 0)
-    s = eig.vectors * np.sqrt(g)[:, None]
-    beta = np.finfo(float).eps * np.linalg.norm(r[:, None] * gram * r) * np.vdot(s, s)
+    m = r[:, None] * gram  # one p x p buffer: R G R, then R^{-1} S
+    m *= r
+    rgr = np.linalg.norm(m)
+    s = np.multiply(eig.vectors, np.sqrt(g)[:, None], out=m)  # scaled before it is squared
+    beta = np.finfo(float).eps * rgr * np.vdot(s, s)
     q = int(np.sum(d > 1.0 + max(rank_tol, beta)))
     loadings = gram @ (eig.vectors[:, :q] * (np.sqrt(d[:q] - 1.0) / d[:q]))
     # At the ML solution K = X X' + Sigma has log|K| = log|Sigma| +

@@ -36,10 +36,8 @@ class TimeSeriesPair:
         t2 = np.asarray(self.t2, dtype=float)
         if t1.shape != (y1.shape[0],) or t2.shape != (y2.shape[0],):
             raise ValueError("time vectors must match the row counts")
-        object.__setattr__(self, "y1", y1)
-        object.__setattr__(self, "y2", y2)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "t2", t2)
+        for name, value in (("y1", y1), ("y2", y2), ("t1", t1), ("t2", t2)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # Relative symmetry tolerance for inputs, and the floor/jitter policy for
-# near-singular covariances: floor = JITTER_FLOOR * trace/dim per diagonal
-# block, and one shot of JITTER_SCALE * trace/dim of the whole is added if a
-# block's smallest eigenvalue sits at or below its floor.
+# near-singular covariances: floor = JITTER_FLOOR * (trace/dim + jitter) per
+# diagonal block, the jitter being one shot of JITTER_SCALE * trace/dim of the
+# whole, added if a block's smallest eigenvalue sits at or below its floor.
 SYMMETRY_RTOL = 1e-10
 JITTER_FLOOR = 1e-12
 JITTER_SCALE = 1e-10
@@ -91,33 +91,36 @@ def _tri_inv(l):
 
 
 def _whitener(*blocks):
-    """([T_k], log|sigma_eff|, jitter), T_k (B_k + jitter I) T_k' = I for each checked
-    symmetric block B_k of sigma = blockdiag(blocks): the one place a covariance is
-    factored and the jitter policy applied. T_k = L_k^{-1} (_tri_inv) if every
-    1 / ||L_k^{-1}||_F^2 = 1 / trace(B_k^{-1}) <= lambda_min(B_k) clears B_k's floor;
-    else each B_k's eigh decides, T_k = Lambda_k^{-1/2} U_k', with jitter (B_k +
-    jitter I shares B_k's eigenvectors) if some block's smallest eigenvalue is at
-    or below its floor. Raises NotPositiveDefiniteError, naming the eigenvalue,
-    if jitter fails to help."""
-    scales = [np.diagonal(b).mean() for b in blocks]
-    try:
-        chols = [np.linalg.cholesky(b) for b in blocks]
-        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan T fails the bound
-            ts = [_tri_inv(chol) for chol in chols]
-        if all(1.0 / np.einsum("ij,ij->", t, t) > JITTER_FLOOR * s for t, s in zip(ts, scales)):
-            return ts, float(sum(2.0 * np.log(np.diag(chol)).sum() for chol in chols)), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    eigs = [np.linalg.eigh(b) for b in blocks]
-    fire = any(v[0] <= JITTER_FLOOR * s for (v, _), s in zip(eigs, scales))
-    jitter = JITTER_SCALE * np.concatenate([np.diagonal(b) for b in blocks]).mean() if fire else 0.0
-    eigs = [(v + jitter, u) for v, u in eigs]
-    for (v, _), s in zip(eigs, scales):
-        if v[0] <= JITTER_FLOOR * (s + jitter):
-            raise NotPositiveDefiniteError(
-                f"covariance not positive definite: smallest eigenvalue {v[0]:.6e} after jitter")
-    return ([u.T / np.sqrt(v)[:, None] for v, u in eigs],
-            float(sum(np.log(v).sum() for v, _ in eigs)), jitter)
+    """([T_k], log|sigma_eff|, jitter), T_k = L_k^{-1} (_tri_inv) for L_k L_k' = B_k +
+    jitter I, B_k the checked symmetric blocks of sigma = blockdiag(blocks): the one
+    place a covariance is factored and the jitter policy applied. A block passes if
+    1 / ||T_k||_F^2 = 1 / trace(B_k^{-1}) <= lambda_min clears its floor or, where
+    that bound cannot tell, if B_k - floor I factors too, which certifies lambda_min
+    > floor (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10). Raises
+    NotPositiveDefiniteError, naming the eigenvalue, if a block fails after jitter."""
+    for jitter in (0.0, JITTER_SCALE * np.concatenate([np.diagonal(b) for b in blocks]).mean()):
+        ts, logdet = [], 0.0
+        for b in blocks:
+            floor = JITTER_FLOOR * (np.diagonal(b).mean() + jitter)
+            b = b + jitter * np.eye(len(b)) if jitter else b
+            try:
+                chol = np.linalg.cholesky(b)
+                with np.errstate(over="ignore", invalid="ignore"):  # inf/nan T fails the bound
+                    t = _tri_inv(chol)
+                    clear = 1.0 / np.einsum("ij,ij->", t, t) > floor
+                if not clear:  # the bound cannot tell: lambda_min > floor iff this factors
+                    np.linalg.cholesky(b - floor * np.eye(len(b)))
+                    if not np.isfinite(t).all():
+                        break
+            except np.linalg.LinAlgError:
+                break
+            ts.append(t)
+            logdet += 2.0 * np.log(np.diag(chol)).sum()
+        else:
+            return ts, float(logdet), jitter
+    raise NotPositiveDefiniteError(
+        f"covariance not positive definite: smallest eigenvalue {np.linalg.eigvalsh(b)[0]:.6e} "
+        "after jitter")
 
 
 def _block_diag(blocks):

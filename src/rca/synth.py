@@ -25,6 +25,10 @@ def make_diffexpr_pair(seed, n_genes=200, n_planted=10, noise_sd=0.2):
 
     Returns (y1, y2, t1, t2, labels).
     """
+    if n_genes < 1:
+        raise ValueError(f"n_genes must be at least 1, got {n_genes}")
+    if not 0 <= n_planted <= n_genes:
+        raise ValueError(f"n_planted must be between 0 and n_genes = {n_genes}, got {n_planted}")
     rng = np.random.default_rng(seed)
     t1, t2 = TREATMENT_TIMES, CONTROL_TIMES
     control_idx = np.searchsorted(t1, t2)
@@ -83,6 +87,12 @@ def make_shared_private(seed, n=500, d1=15, d2=12, q_shared=2, q1=1, q2=1,
     draw_shared_private); fresh test rows for the same truth come from
     draw_shared_private with a new rng.
     """
+    for name, size, low in (("d1", d1, 1), ("d2", d2, 1), ("q_shared", q_shared, 0),
+                            ("q1", q1, 0), ("q2", q2, 0)):
+        if size < low:
+            raise ValueError(f"{name} must be at least {low}, got {size}")
+    if n <= q_shared + q1 + q2:
+        raise ValueError(f"n must exceed q_shared + q1 + q2 = {q_shared + q1 + q2}, got {n}")
     rng = np.random.default_rng(seed)
     truth = {"v1": SHARED_SCALE * rng.standard_normal((d1, q_shared)),
              "v2": SHARED_SCALE * rng.standard_normal((d2, q_shared)),

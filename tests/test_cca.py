@@ -164,9 +164,10 @@ def _joint_covariance(y1, y2):
     return joint.T @ joint / joint.shape[0]
 
 
-# View 1's cholesky fails, so view 2 is never factored: each view takes one
-# eigh, and the joint solve on those whiteners one more.
-JITTER_CALLS = Counter(cholesky=1, eigh=3)
+# View 1's factor fails, so view 2 is not factored until the jittered try;
+# then each view takes a factor and its inverse, and the joint solve on those
+# whiteners is the one eigh.
+JITTER_CALLS = Counter(cholesky=3, inv=2, eigh=1)
 
 
 @pytest.mark.parametrize("y1,y2", [
@@ -193,8 +194,8 @@ def test_views_that_need_jitter_take_the_joint_solve(lapack_calls, y1, y2):
 
 def test_view_failing_only_the_cholesky_bound_takes_the_closed_form(lapack_calls):
     # two eigenvalues of C11 at 1.5x its floor: lambda_min clears the floor but
-    # 1 / trace(C11^{-1}) ~ 0.75x of it does not, so both views are whitened by
-    # eigh, nothing is jittered, and one SVD with no joint eigh still solves it
+    # 1 / trace(C11^{-1}) ~ 0.75x of it does not, so a factor of C11 - floor I
+    # decides; nothing is jittered, and one SVD with no eigh still solves it
     rng = np.random.default_rng(15)
     n, bulk = 200, np.array([4.0, 3.0, 2.0, 1.0])
     floor = JITTER_FLOOR * bulk.sum() / 6
@@ -206,7 +207,7 @@ def test_view_failing_only_the_cholesky_bound_takes_the_closed_form(lapack_calls
     y2 = y1[:, :3] @ rng.standard_normal((3, 4)) + rng.standard_normal((n, 4))
     lapack_calls.clear()
     fit = cca_fit(y1, y2)
-    assert lapack_calls == Counter(cholesky=2, inv=2, eigh=2, svd=1)
+    assert lapack_calls == Counter(cholesky=3, inv=2, svd=1)
     assert fit.fit.eig.jitter == 0.0
     # CCA is invariant to y1 -> w, whose covariance is I, so the oracle reads
     # the correlations there; the rounding of y1 itself (eps ||C11|| against

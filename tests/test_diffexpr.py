@@ -129,6 +129,15 @@ def test_pair_validation():
         TimeSeriesPair(np.ones((3, 4)), np.ones((2, 4)), np.arange(3), np.arange(5))
 
 
+@pytest.mark.parametrize("sizes,message", [
+    ({"n_genes": 0, "n_planted": 0}, "n_genes must be at least 1, got 0"),
+    ({"n_genes": 5, "n_planted": 10}, "n_planted must be between 0 and n_genes = 5, got 10"),
+    ({"n_genes": 5, "n_planted": -1}, "n_planted must be between 0 and n_genes = 5, got -1")])
+def test_make_diffexpr_pair_names_an_out_of_range_size(sizes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_diffexpr_pair(1, **sizes)
+
+
 # ---------------------------------------------------------------- roc_curve
 
 def test_roc_perfect_separation():

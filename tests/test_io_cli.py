@@ -430,6 +430,17 @@ def test_module_entry_point_exits_with_mains_code(tmp_path):
     assert "the following arguments are required: --gram" in done.stderr
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("synth-diffexpr", "--genes", "5", "--planted", "10"),
+     "n_planted must be between 0 and n_genes = 5, got 10"),
+    (("synth-shared", "--n", "3"), "n must exceed q_shared + q1 + q2 = 4, got 3")])
+def test_synth_commands_name_an_out_of_range_size(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--seed", "1", "-o", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {argv[0]}: ValueError: {message}\n"
+    assert not out.exists()
+
+
 def test_failed_diffexpr_leaves_no_artifacts(tmp_path):
     syn = tmp_path / "syn"
     assert run_cli("synth-diffexpr", "--seed", "1", "--genes", "30",

@@ -458,3 +458,14 @@ def test_rms_error_basics():
         pytest.approx(np.sqrt(12.5))
     with pytest.raises(ValueError, match="mismatch"):
         rms_error(np.ones((2, 2)), np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ({"d1": 0}, "d1 must be at least 1, got 0"),
+    ({"d2": -2}, "d2 must be at least 1, got -2"),
+    ({"q_shared": -1}, "q_shared must be at least 0, got -1"),
+    ({"q2": -1}, "q2 must be at least 0, got -1"),
+    ({"n": 3, "q_shared": 2, "q1": 1, "q2": 1}, "n must exceed q_shared \\+ q1 \\+ q2 = 4, got 3")])
+def test_make_shared_private_names_an_out_of_range_size(sizes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_shared_private(1, **sizes)

@@ -351,6 +351,31 @@ def test_block_rescaling_keeps_the_block_diagonal_fit(seed):
     np.testing.assert_allclose(fit.eig.values, base.eig.values, rtol=1e-10, atol=0)
 
 
+@pytest.mark.parametrize("factor,jittered", [(0.9, True), (1.1, False)])
+def test_an_inconclusive_block_bound_is_settled_by_a_shifted_factor(lapack_calls, factor,
+                                                                    jittered):
+    # block 2 has two eigenvalues at factor x its own floor, so 1 / trace(B^{-1})
+    # ~ factor / 2 x floor cannot tell; the factor of B - floor I fails or
+    # succeeds, and the reduced problem's eigh is the fit's only one
+    rng = np.random.default_rng(970)
+    bulk = np.linspace(1.0, 4.0, 5)
+    floor = JITTER_FLOOR * bulk.sum() / 7
+    b1, b2 = random_spd(rng, P - 7), with_spectrum(rng, np.append(bulk, [factor * floor] * 2))
+    assert 1.0 / np.trace(np.linalg.inv(b2)) <= floor
+    sigma = np.zeros((P, P))
+    sigma[:P - 7, :P - 7], sigma[P - 7:, P - 7:] = b1, b2
+    gram = planted_gram(rng, sigma + np.eye(P))
+    lapack_calls.clear()
+    fit = rca_fit(gram, BlockDiagonal((b1, b2)))
+    if jittered:
+        # a factor and its inverse per block in each try, and the failed shifted one
+        assert fit.eig.jitter == JITTER_SCALE * np.trace(sigma) / P
+        assert lapack_calls == Counter(cholesky=5, inv=4, eigh=1)
+    else:
+        assert fit.eig.jitter == 0.0
+        assert lapack_calls == Counter(cholesky=3, inv=2, eigh=1)
+
+
 def test_an_empty_block_is_dropped():
     fit = rca_fit(np.eye(2), BlockDiagonal((np.zeros((0, 0)), np.eye(2))))
     assert fit.eig.values.shape == (2,) and fit.eig.jitter == 0.0
@@ -483,9 +508,11 @@ def test_scaled_identity_is_bitwise_the_factor_free_low_rank_fit(seed, variance)
     pytest.param("rank_deficient", P, id="rank_deficient"),
     pytest.param("near_singular", ABOVE_LEAF, id="near_singular-p100"),
     pytest.param("rank_deficient", ABOVE_LEAF, id="rank_deficient-p100")])
-def test_jittered_fit_is_two_eigensolves(lapack_calls, kind, p):
-    # one eigh of Sigma both decides the jitter and whitens, since Sigma + cI
-    # has Sigma's eigenvectors; the other is the reduced problem's
+def test_jittered_fit_is_one_eigensolve(lapack_calls, kind, p):
+    # Cholesky factors decide the jitter and whiten Sigma + cI, so the reduced
+    # problem's eigh is the only one. A near-singular Sigma factors, fails the
+    # bound and then the factor of Sigma - floor I; a rank-deficient one fails
+    # its first factor. Either way Sigma + cI then factors and clears the bound
     rng = np.random.default_rng(905)
     if kind == "near_singular":
         sigma = near_singular_sigma(rng, 0.5, p)
@@ -497,15 +524,18 @@ def test_jittered_fit_is_two_eigensolves(lapack_calls, kind, p):
     fit = rca_fit(gram, Explicit(sigma))
     assert fit.eig.jitter > 0
     assert fit.eig.jitter == JITTER_SCALE * (np.trace(sigma) / p)
-    assert lapack_calls["eigh"] == 2
-    assert set(lapack_calls) <= {"eigh", "cholesky", "inv"}
+    if kind == "near_singular":
+        assert lapack_calls == Counter(cholesky=3, inv=2, eigh=1)
+    else:
+        assert lapack_calls == Counter(cholesky=2, inv=1, eigh=1)
     # G - Sigma_eff = (1 - jitter) I + W W' is positive definite, so every
-    # component is kept and X X' is G - Sigma_eff, jitter included; exactly
-    # so at p=12, while at p=100 Sigma's conditioning costs ~1e-6 of it
+    # component is kept and X X' is G - Sigma_eff, jitter included, up to the
+    # cond(Sigma_eff) eps that a Cholesky whitener of Sigma_eff costs
     assert fit.q == p
-    if p == P:
-        resid = gram - sigma - fit.eig.jitter * np.eye(p)
-        assert np.linalg.norm(fit.loadings @ fit.loadings.T - resid) <= 1e-12 * np.linalg.norm(resid)
+    sigma_eff = sigma + fit.eig.jitter * np.eye(p)
+    resid = gram - sigma_eff
+    assert np.linalg.norm(fit.loadings @ fit.loadings.T - resid) <= \
+        np.linalg.cond(sigma_eff) * np.finfo(float).eps * np.linalg.norm(resid)
 
 
 def test_log_marginal_is_one_factor_and_one_inverse(lapack_calls):
