@@ -6,7 +6,6 @@ and renamed into place, so readers never observe a half-written artifact.
 """
 
 import contextlib
-import itertools
 import os
 
 import numpy as np
@@ -19,9 +18,10 @@ def load_csv(path):
 
     Returns (values, header, row_labels): header is the list of column
     names when the first line is non-numeric, row_labels the list of
-    first-column labels when that column is non-numeric; either is None
-    when absent. Raises ValueError on empty files, ragged rows, or any
-    non-numeric data cell (reported with line and column).
+    first-column labels when the first body cell is non-numeric or, under a
+    header, any body row's first cell is; either is None when absent.
+    Raises ValueError on empty files, ragged rows, or any non-numeric data
+    cell (reported with line and column).
     """
     lines, numbers, vectorizable = _read_lines(path)
     if not lines:
@@ -49,7 +49,9 @@ def load_csv(path):
             raise ValueError(f"{path}: header but no data rows")
         first = lines[0].split(",")
 
-    labeled = not numeric(first[0])
+    # under a header, a number among the labels (a numeric gene id) is a label too
+    labeled = not numeric(first[0]) or header is not None and not all(
+        numeric(line.split(",", 1)[0]) for line in lines)
     if labeled and header is not None and len(header) == len(first):
         header = header[1:]
     width = len(first)
@@ -151,8 +153,8 @@ def atomic_write_text(path, text):
         fh.write(text)
 
 
-# cells formatted per write: bounds the text held in memory at ~1.5 MB
-_BLOCK_CELLS = 1 << 16
+# cells formatted per write: bounds each block's working arrays at ~2 MB
+_BLOCK_CELLS = 1 << 13
 
 
 def save_csv(path, matrix, header=None, row_labels=None):
@@ -164,7 +166,6 @@ def save_csv(path, matrix, header=None, row_labels=None):
     n_rows, n_cols = matrix.shape
     if row_labels is not None and len(row_labels) != n_rows:
         raise ValueError(f"{len(row_labels)} row labels for {n_rows} rows")
-    row_fmt = ",".join(["%s"] * (row_labels is not None) + [FLOAT_FMT] * n_cols) + "\n"
     step = max(1, _BLOCK_CELLS // max(n_cols, 1))
     with _atomic_file(path) as fh:
         if header is not None:
@@ -173,9 +174,119 @@ def save_csv(path, matrix, header=None, row_labels=None):
             fh.write("\n")  # every file ends in a newline, even with no lines
         for start in range(0, n_rows, step):
             block = matrix[start:start + step]
-            cells = block.ravel().tolist() if row_labels is None else \
-                itertools.chain.from_iterable(zip(row_labels[start:start + step], *block.T.tolist()))
-            fh.write((row_fmt * len(block)) % tuple(cells))
+            text = _format_rows(block) if n_cols else "\n" * len(block)
+            if row_labels is not None:
+                sep = "," if n_cols else ""
+                text = "".join(f"{label}{sep}{row}\n" for label, row in
+                               zip(row_labels[start:start + step], text.split("\n")))
+            fh.write(text)
+
+
+# The exact range, 1e-11 < |x| < 2**51: each such x prints with a decimal
+# exponent k in [-11, 15], so 10**(16 - k) = 5**s * 2**s with s in [1, 27]
+# and 5**s < 2**63. Other cells (non-finite, huge, tiny, subnormal) take one
+# batched '%' per block.
+_POW5 = 5 ** np.arange(28, dtype=np.uint64)
+_POS = np.arange(18, dtype=np.int8)[:, None]  # a position in the digit block
+_WIDTH = 28  # 5 lead bytes, 18 digit-block bytes, "e-dd" and the separator
+# per (k + 11) * 2 + sign: the sign and the fixed form's "0.00" before the
+# digit block, right-aligned; the block starts with the last of "0.000"
+_LEADS = np.array([("-" * neg + ("0.000"[:-k] if -4 <= k < 0 else "")).rjust(5, "\0")
+                   for k in range(-11, 16) for neg in (0, 1)], dtype="S5")
+
+
+def _scaled(mant, exp, k):
+    """(floor(q), whether q rounds up to even) for q = v * 10**(16 - k) and
+    v = mant * 2**(exp - 53): the product mant * 5**s, held exactly in two
+    uint64 limbs from 32-bit halves (no partial product reaches 2**64), shifted
+    right by r = 53 - exp - s bits, which the exact range keeps in [1, 63]."""
+    s = 16 - k
+    r = (53 - exp - s).astype(np.uint64)
+    five = _POW5[s]
+    m_lo, m_hi, f_lo, f_hi = mant & 0xFFFFFFFF, mant >> 32, five & 0xFFFFFFFF, five >> 32
+    mid = m_hi * f_lo + m_lo * f_hi
+    part = m_lo * f_lo
+    lo = part + (mid << 32)
+    hi = m_hi * f_hi + (mid >> 32) + (lo < part)
+    floor = (hi << (64 - r)) | (lo >> r)
+    # the r dropped bits, moved to the top: above 2**63 rounds up, at it ties
+    return floor, ((lo << (64 - r)) | (floor & 1)) > 1 << 63
+
+
+def _format_rows(block):
+    """The rows of a 2-D block as text, each cell exactly FLOAT_FMT % cell,
+    cells joined by "," and rows ended by "\\n". Zeros and cells in the exact
+    range take the 17 digits round(|x| * 10**(16 - k)) from _scaled and %g's
+    layout, built one byte position per row over all cells, NUL where a cell
+    is shorter, then transposed and stripped of the NULs."""
+    n_rows, n_cols = block.shape
+    x = block.ravel()
+    n = x.size
+    mag = np.abs(x)
+    exact = (mag > 1e-11) & (mag < 2.0 ** 51)  # the exact range
+    zero = mag == 0
+    v = np.where(exact, mag, 1.0)  # a stand-in keeps frexp and log10 quiet
+    frac, exp = np.frexp(v)
+    mant, exp = (frac * 2.0 ** 53).astype(np.uint64), exp.astype(np.int64)
+    k = np.maximum(np.floor(np.log10(v)), -11).astype(np.int64)
+    digits, up = _scaled(mant, exp, k)
+    # log10 may put k one off beside a power of ten. The truncated quotient
+    # decides k: rounding first would print 1e-07 (a double just below 1e-7)
+    # as 1e-07, not 9.9999999999999995e-08
+    while (off := np.flatnonzero((digits < 10 ** 16) | (digits >= 10 ** 17))).size:
+        k[off] += np.where(digits[off] < 10 ** 16, -1, 1)
+        digits[off], up[off] = _scaled(mant[off], exp[off], k[off])
+    digits += up
+    carry = digits == 10 ** 17  # 9.99..95 rounded up to 10.0..
+    digits[carry] = 10 ** 16
+    k = np.where(zero, 0, k + carry).astype(np.int8)
+    digits[zero] = 0
+
+    # rows 1-17: the digits, most significant first; rows 0 and 18 stay 0
+    digit_rows = np.zeros((19, n), np.uint8)
+    top, low = np.divmod(digits, 10 ** 8)
+    digit_rows[1], top = np.divmod(top, 10 ** 8)
+    chunks = np.stack([top, low]).astype(np.uint32)
+    for j in range(9, 1, -1):
+        quot = chunks // 10
+        digit_rows[[j, j + 8]] = chunks - quot * 10
+        chunks = quot
+    # keep the digits through the last nonzero one and the whole integer
+    # part, as ASCII; the dropped zeros stay NUL
+    kept = np.maximum(((digit_rows[1:18] != 0) * _POS[1:]).max(axis=0), k + 1)
+    digit_rows[1:18] |= (_POS[:17] < kept).view(np.uint8) * np.uint8(ord("0"))
+
+    # the digit block: the digits with one character inserted at position at,
+    # the point after the integer part (k >= 0) or after the first digit
+    # (k < -4), or for 0 > k >= -4 the last character of "0.000"
+    fixed = k >= -4
+    at = (k + 1) * (k >= 0) + ~fixed
+    mark = (kept > at) * ord(".") + ((k < -1) & fixed) * (ord("0") - ord("."))
+    text = np.empty((_WIDTH, n), np.uint8)
+    text[:5] = _LEADS[(k + 11) * 2 + np.signbit(x)].view(np.uint8).reshape(n, 5).T
+    body = text[5:23]
+    np.subtract(digit_rows[:18], digit_rows[1:], out=body)
+    body *= (_POS > at).view(np.uint8)
+    body += digit_rows[1:]
+    body -= (body - mark.astype(np.uint8)) * (_POS == at).view(np.uint8)
+    sep = np.where(np.arange(n) % n_cols == n_cols - 1, ord("\n"), ord(","))
+    # exponents in this range are -05 to -11
+    e_form, tens = ~fixed, k <= -10
+    text[23] = np.where(e_form, ord("e"), sep)
+    text[24] = e_form * ord("-")
+    text[25] = e_form * (ord("0") + tens)
+    text[26] = e_form * (ord("0") - k - 10 * tens)
+    text[27] = e_form * sep
+
+    rest = np.flatnonzero(~(exact | zero))
+    if rest.size:
+        fmt = ",".join([FLOAT_FMT] * rest.size).encode()
+        cells = np.array((fmt % tuple(x[rest].tolist())).split(b","), f"S{_WIDTH}")
+        chars = cells.view(np.uint8).reshape(rest.size, _WIDTH)
+        chars[np.arange(rest.size), np.strings.str_len(cells)] = sep[rest]
+        text[:, rest] = chars.T
+    text = np.ascontiguousarray(text.T)
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def format_manifest(entries):

@@ -12,6 +12,11 @@ BUMP_FACTOR, BUMP_LENGTHSCALE = 3.0, 8.0
 SHARED_SCALE, PRIVATE_SCALE, MEAN_SCALE = 2.0, 1.5, 2.0
 
 
+def _check_noise_sd(noise_sd):
+    if not np.isfinite(noise_sd):
+        raise ValueError(f"noise_sd must be finite, got {noise_sd}")
+
+
 def make_diffexpr_pair(seed, n_genes=200, n_planted=10, noise_sd=0.2):
     """Two-condition expression data with a planted treatment response.
 
@@ -29,6 +34,7 @@ def make_diffexpr_pair(seed, n_genes=200, n_planted=10, noise_sd=0.2):
         raise ValueError(f"n_genes must be at least 1, got {n_genes}")
     if not 0 <= n_planted <= n_genes:
         raise ValueError(f"n_planted must be between 0 and n_genes = {n_genes}, got {n_planted}")
+    _check_noise_sd(noise_sd)
     rng = np.random.default_rng(seed)
     t1, t2 = TREATMENT_TIMES, CONTROL_TIMES
     control_idx = np.searchsorted(t1, t2)
@@ -62,9 +68,12 @@ def draw_shared_private(truth, n, rng, orthogonal_latents=False):
     With orthogonal_latents the shared and private latent columns are made
     exactly uncorrelated in-sample (unit sample variance); recovery errors
     are then attributable to the observation noise rather than to the
-    realized correlation between latent draws.
+    realized correlation between latent draws, which needs n above their
+    count (centering costs one degree of freedom).
     """
     q_shared, q1, q2 = (truth[key].shape[1] for key in ("v1", "w1", "w2"))
+    if orthogonal_latents and n <= q_shared + q1 + q2:
+        raise ValueError(f"n must exceed q_shared + q1 + q2 = {q_shared + q1 + q2}, got {n}")
     lat = rng.standard_normal((n, q_shared + q1 + q2))
     if orthogonal_latents:
         basis, _ = np.linalg.qr(lat - lat.mean(axis=0))
@@ -91,8 +100,7 @@ def make_shared_private(seed, n=500, d1=15, d2=12, q_shared=2, q1=1, q2=1,
                             ("q1", q1, 0), ("q2", q2, 0)):
         if size < low:
             raise ValueError(f"{name} must be at least {low}, got {size}")
-    if n <= q_shared + q1 + q2:
-        raise ValueError(f"n must exceed q_shared + q1 + q2 = {q_shared + q1 + q2}, got {n}")
+    _check_noise_sd(noise_sd)
     rng = np.random.default_rng(seed)
     truth = {"v1": SHARED_SCALE * rng.standard_normal((d1, q_shared)),
              "v2": SHARED_SCALE * rng.standard_normal((d2, q_shared)),

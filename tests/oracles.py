@@ -201,7 +201,8 @@ def float_cell_csv(path):
         numbers.pop(0)
         if not rows:
             raise ValueError(f"{path}: header but no data rows")
-    labeled = not is_number(rows[0][0])
+    labeled = not is_number(rows[0][0]) or header is not None and not all(
+        is_number(row[0]) for row in rows)
     width = len(rows[0])
     if labeled and header is not None and len(header) == width:
         header = header[1:]
@@ -223,3 +224,17 @@ def float_cell_csv(path):
     if values.size == 0:
         raise ValueError(f"{path}: no numeric data")
     return values, header, labels
+
+
+def percent_csv(matrix, header=None, row_labels=None):
+    """The text save_csv writes, built one '%.17g' % cell at a time: the
+    header line if any (else an empty line for a matrix with no rows), then
+    one line per row, its label first when row_labels are given."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim == 1:
+        matrix = matrix[:, None]
+    lines = [",".join(header)] if header is not None else [] if len(matrix) else [""]
+    for i, row in enumerate(matrix.tolist()):
+        label = [] if row_labels is None else [str(row_labels[i])]
+        lines.append(",".join(label + ["%.17g" % value for value in row]))
+    return "".join(line + "\n" for line in lines)

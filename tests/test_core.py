@@ -183,6 +183,12 @@ def test_fit_rejects_bad_rank_tol(rank_tol):
         rca_fit(np.diag([3.0, 0.8, 0.6]), ScaledIdentity(1.0), rank_tol=rank_tol)
 
 
+def test_fit_accepts_a_zero_rank_tol():
+    # zero leaves only the rounding bound: every eigenvalue clearly above 1 counts
+    fit = rca_fit(np.diag([3.0, 1.5, 0.6]), ScaledIdentity(1.0), rank_tol=0)
+    assert fit.q == 2
+
+
 @pytest.mark.parametrize("n_obs", [-4, 0, np.nan, np.inf])
 def test_fit_rejects_bad_n_obs(n_obs):
     # n_obs scales the likelihood: a negative count would flip its sign

@@ -138,6 +138,13 @@ def test_make_diffexpr_pair_names_an_out_of_range_size(sizes, message):
         make_diffexpr_pair(1, **sizes)
 
 
+@pytest.mark.parametrize("noise_sd", [np.nan, np.inf, -np.inf])
+def test_make_diffexpr_pair_names_a_non_finite_noise_sd(noise_sd):
+    # a nan noise would fill every view with nan, which every fit then rejects
+    with pytest.raises(ValueError, match=f"^noise_sd must be finite, got {noise_sd}$"):
+        make_diffexpr_pair(1, n_genes=5, n_planted=2, noise_sd=noise_sd)
+
+
 # ---------------------------------------------------------------- roc_curve
 
 def test_roc_perfect_separation():

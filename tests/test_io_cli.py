@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import rca.cli
 import rca.io
-from oracles import float_cell_csv
+from oracles import float_cell_csv, percent_csv
 from rca.cli import build_parser, main, parse_sigma_spec, parse_times
 from rca.core import BlockDiagonal, Explicit, LowRankPlusNoise, ScaledIdentity, rca_fit
 from rca.diffexpr import ScoredRanking, TimeSeriesPair, residual_scores, roc_curve
@@ -219,6 +219,8 @@ def _outcome(read, path):
 @example(",".join(f"{j / 3!r}" for j in range(2000)) + "\n")  # 1 row x 2000 columns
 @example("1\n\t\n2\n")
 @example("\ufeff1,2\n3,4\n")  # a UTF-8 byte-order mark, as spreadsheets export
+@example("id,x\n7157,1\nb,2\n")  # a numeric label under a header
+@example("7157,1\nb,2\n")  # without a header the first row decides
 def test_load_matches_float_per_cell_reference(tmp_path, text):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode("utf-8"))
@@ -248,6 +250,146 @@ def test_save_golden_bytes(tmp_path):
         p = tmp_path / "m.csv"
         save_csv(p, matrix, **kwargs)
         assert p.read_bytes() == expected.encode("ascii"), (matrix, kwargs)
+
+
+def _near_powers_of_ten():
+    """10**k and its neighbours 1 and 2 ulp away, k in [-30, 30]."""
+    out = []
+    for k in range(-30, 31):
+        down = up = float(f"1e{k}")
+        out.append(down)
+        for _ in range(2):
+            down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+            out += [down, up]
+    return np.array(out)
+
+
+def test_save_matches_a_per_cell_percent_writer(tmp_path, monkeypatch):
+    # the block kernel against '%.17g' one cell at a time: 2**20 random bit
+    # patterns of both signs (all exponents, nan and inf among them), the
+    # neighbours of the powers of ten, zeros, integers, and the cells the
+    # '%' fallback takes
+    rng = np.random.default_rng(16)
+    bits = rng.integers(0, 2 ** 64, 1 << 20, dtype=np.uint64, endpoint=False).view(float)
+    # and random significands of both signs at every binary exponent the
+    # exact range spans, where few of the patterns above land
+    field = np.uint64(0x7FF) << np.uint64(52)
+    exponents = rng.integers(1023 - 37, 1023 + 52, 1 << 18).astype(np.uint64) << np.uint64(52)
+    ranged = (bits[: 1 << 18].view(np.uint64) & ~field | exponents).view(float)
+    near = _near_powers_of_ten()
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                        2.2250738585072014e-308, np.inf, -np.inf, np.nan, 1e-11,
+                        np.nextafter(1e-11, 1), 2.0 ** 51, np.nextafter(2.0 ** 51, 0),
+                        2.0 ** 53, 9.5367431640625e-07, 0.5, 1.0, 1e22, -1e308])
+    integers = np.arange(-1000.0, 1001.0) * rng.choice([1.0, 1e3, 1e6], 2001)
+    p = tmp_path / "m.csv"
+    for matrix in (bits.reshape(-1, 16), ranged.reshape(-1, 8),
+                   np.concatenate([near, -near]).reshape(-1, 5), special[:, None],
+                   integers.reshape(-1, 3)):
+        save_csv(p, matrix)
+        assert p.read_text() == percent_csv(matrix)
+    save_csv(p, [1e-07])  # the double nearest 1e-7 lies just below it
+    assert p.read_text() == "9.9999999999999995e-08\n"
+    # blocks of 7 cells, under a header and beside labels, cut rows of
+    # fallback cells apart from rows of exact ones
+    monkeypatch.setattr(rca.io, "_BLOCK_CELLS", 7)
+    matrix = np.concatenate([special, near[:29]]).reshape(-1, 3)
+    labels = [f"r{i}" for i in range(len(matrix))]
+    save_csv(p, matrix, header=["id", "a", "b", "c"], row_labels=labels)
+    assert p.read_text() == percent_csv(matrix, ["id", "a", "b", "c"], labels)
+
+
+# sha256 of every artifact of two runs (and of the gram the second reads),
+# recorded when each cell was still written by its own '%': for each file,
+# the digest of the numbers it holds maps to the digest of its bytes. The
+# numbers come from BLAS, LAPACK and numpy's SIMD math, whose last bits vary
+# with the CPU kernels they pick, so a file carries one entry per kernel
+# family seen (OpenBLAS's SkylakeX and Haswell kernels differ here), and a
+# run whose numbers match none of them is checked against '%' alone.
+_GOLDEN_GRAM = {
+    "gram.csv": {
+        "fc496baa2e0716d408c71680d443d920a6bdb6f57d629de7acf7a1856e43ee06":
+            "9fd98160cb837c0da6ac223b42e02dad680bc378f7cd8d7020e230b4aec5d4cf",
+    },
+}
+_GOLDEN_RUNS = [
+    (("synth-diffexpr", "--seed", "1", "--genes", "200", "--planted", "10"), {
+        "labels.csv": {
+            "21491896f376dc259d303d2b3e2b660e29e3eccc40f0d58c458306c91169d143":
+                "fafe5efd9444aa08dae153be5ce91eaad6224a74be46c514930185591be443d3",
+        },
+        "manifest.txt": {
+            "5a22c83a881e0909d76e6276d4769460bd6042e583fe6226849074549329fb53":
+                "5a22c83a881e0909d76e6276d4769460bd6042e583fe6226849074549329fb53",
+        },
+        "t1.csv": {
+            "edb757328028111a0e489ac071152f8237fadb13efcdb5b20030c12cd4d5f78a":
+                "0f9122210395e722401a0fd54f8b9953d2b782aade5d2685ef03353c53c77cb1",
+        },
+        "t2.csv": {
+            "ad1f02da25dbbea28a8dfefdf413ae4b36200f6e4a86fc817b978ea5bac463e1":
+                "7a5b65cc809f6593b392542a4fdd173482fa251c276e14274822406d8e5497a0",
+        },
+        "y1.csv": {
+            "9100f713c78a75816eb7cf9984fc9da22ada0714813b33cd570bd3683067bbb8":
+                "51d56e1f2828c24d7010776b3cd248e72817aba1202d76929cda90ae47a461a5",
+            "30ed9ec4437544b3d08ba5669ea22a1a0edf143f8b0c4d8f886231580f451a23":
+                "e09e5587ab0652e7cb723835b255b6a310aa64b03e35f5bd958435ace5de8068",
+        },
+        "y2.csv": {
+            "c158712159b3dae696751b1a74a3ea591f1ed483ed866e89f277344278b58f79":
+                "8cf2be80e0e674ea06c0f7880b5500d04132cbbc6c2a8066812df8d70be15255",
+            "5428d1efda2d70a72b718fab6c638985b00e698b82a5334f7d2630558d5a89d1":
+                "e57c3d2fbe30becd838d522468ff77aa0d1e0b8dcd14898f716b2212b277541e",
+        },
+    }),
+    (("rca", "--gram", "gram.csv", "--sigma", "identity:1"), {
+        "eigvals.csv": {
+            "d56e039a69e0fac199a927d05ca81e22ed386f6f43c10c06347426a541dc1754":
+                "f76fbeac62f7551376adfac647f4064b1c078da2642d678d0364e6834c50a647",
+            "4834613a0db712e856ad2528a5c546fe7666e257898c12fb367b9cffa48caa47":
+                "60a9cdc80b4389ba64a37bd4b8e71e2a0eb3c46751fd36ea728684fc9082b37e",
+        },
+        "loadings.csv": {
+            "0df6f9d99e90e7b7077737fe2eb6fc907c1c9f9c8b2685a476447c4b737fc4d2":
+                "5af52e15bf3466a616802bada8a32c2244640cec7de0533a5cbfcfbda2a29463",
+            "33581a08653f346b0b1c6936f2b987bcec69d2e6018d507365da880adf1683df":
+                "78d9929a6b99f0648236ca1ba03e314d9cc9a59c7157bb8cbc259c210794ebbc",
+        },
+        "manifest.txt": {
+            "d415373dd531000d599d67ffd4624a2828b83d6814726ada5077a8468d545a3d":
+                "d415373dd531000d599d67ffd4624a2828b83d6814726ada5077a8468d545a3d",
+        },
+    }),
+]
+
+
+def _numbers_digest(path):
+    """sha256 of what an artifact holds, apart from how its numbers are written."""
+    if path.suffix != ".csv":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    values, header, labels = load_csv(path)
+    return hashlib.sha256(values.tobytes() + repr((header, labels)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, golden", _GOLDEN_RUNS)
+def test_cli_artifacts_keep_their_golden_bytes(tmp_path, monkeypatch, argv, golden):
+    # relative paths keep the manifests free of the temporary directory; a
+    # gram of small integers is the same whatever BLAS forms it
+    monkeypatch.chdir(tmp_path)
+    b = np.random.default_rng(17).integers(-3, 4, (9, 6)).astype(float)
+    save_csv("gram.csv", b.T @ b + 2 * np.eye(6))
+    assert run_cli(*argv, "-o", "out") == 0
+    files = sorted((tmp_path / "out").iterdir()) + [tmp_path / "gram.csv"]
+    golden = {**golden, **_GOLDEN_GRAM}
+    assert sorted(f.name for f in files) == sorted(golden)
+    for f in files:
+        if f.suffix == ".csv":
+            values, header, labels = load_csv(f)
+            body = f.read_text().split("\n", 1)[1] if header else f.read_text()
+            assert body == percent_csv(values, row_labels=labels), f.name
+        text = golden[f.name].get(_numbers_digest(f))
+        assert text in (None, hashlib.sha256(f.read_bytes()).hexdigest()), f.name
 
 
 def _peak_bytes(fn):
@@ -433,7 +575,9 @@ def test_module_entry_point_exits_with_mains_code(tmp_path):
 @pytest.mark.parametrize("argv,message", [
     (("synth-diffexpr", "--genes", "5", "--planted", "10"),
      "n_planted must be between 0 and n_genes = 5, got 10"),
-    (("synth-shared", "--n", "3"), "n must exceed q_shared + q1 + q2 = 4, got 3")])
+    (("synth-shared", "--n", "3"), "n must exceed q_shared + q1 + q2 = 4, got 3"),
+    (("synth-diffexpr", "--genes", "5", "--planted", "2", "--noise-sd", "nan"),
+     "noise_sd must be finite, got nan")])
 def test_synth_commands_name_an_out_of_range_size(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     assert run_cli(*argv, "--seed", "1", "-o", str(out)) == 1
@@ -497,6 +641,19 @@ def test_diffexpr_golden_bytes(tmp_path, monkeypatch):
         b"threshold,fpr,tpr\ninf,0,0\n1e+22,0.25,0\n7,0.25,0.33333333333333331\n"
         b"0.33333333333333331,0.5,0.66666666666666663\n0.10000000000000001,0.5,1\n"
         b"2.5e-300,0.75,1\n0,1,1\n")
+
+
+def test_numeric_gene_ids_read_back_as_labels(tmp_path):
+    # Entrez-style ids: the first label reads as a number, the others do not
+    ids = ["7157", "b", "c", "672"]
+    (tmp_path / "y1.csv").write_text(",".join(ids) + "\n1,2,3,4\n2,3,4,6\n4,1,2,3\n")
+    save_csv(tmp_path / "y2.csv", np.array([[1.0, 2, 3, 5], [3, 3, 1, 4], [2, 0, 2, 2]]))
+    out = tmp_path / "out"
+    assert run_cli("diffexpr", "--y1", str(tmp_path / "y1.csv"), "--y2", str(tmp_path / "y2.csv"),
+                   "--t1", "0,1,2", "--t2", "0,1,2", "-o", str(out)) == 0
+    scores, header, labels = load_csv(out / "scores.csv")
+    assert (header, labels, scores.shape) == (["score", "rank"], ids, (4, 2))
+    assert sorted(scores[:, 1]) == [1, 2, 3, 4]
 
 
 def test_diffexpr_bytes_match_a_per_row_format(tmp_path):

@@ -230,6 +230,15 @@ def test_rank_monotone_in_alpha():
     assert ranks[-1] != ranks[0]  # the sweep actually sheds a dimension
 
 
+def test_a_planted_run_converges_at_the_first_pass_it_can():
+    # pass 2 is the first with a likelihood change to test, and on this
+    # instance that change is already below the default tolerance
+    y1, y2, _ = make_shared_private(0)
+    model = iterative_rca(y1, y2, alpha=0.1)
+    assert model.converged
+    assert model.n_iter == 2
+
+
 def test_nonconvergence_is_reported():
     y1, y2, _ = make_shared_private(2)
     model = iterative_rca(y1, y2, alpha=0.1, tol=1e-300, max_iter=3)
@@ -253,7 +262,11 @@ def test_input_validation():
     ({"alpha": 1.5}, "alpha"), ({"alpha": 0.2, "tol": -1.0}, "tol"),
     ({"alpha": 0.2, "max_iter": 0}, "max_iter must be at least 1"),
     ({"alpha": 0.2, "max_iter": 2.5}, "max_iter must be at least 1 and an integer, got 2.5"),
-    ({"alpha": 0.2, "max_iter": float("inf")}, "max_iter .* got inf")])
+    ({"alpha": 0.2, "max_iter": float("inf")}, "max_iter .* got inf"),
+    # the open interval's ends and a zero tolerance are out too
+    ({"alpha": 0.0}, "alpha must lie strictly inside \\(0, 1\\), got 0.0"),
+    ({"alpha": 1.0}, "alpha must lie strictly inside \\(0, 1\\), got 1.0"),
+    ({"alpha": 0.2, "tol": 0.0}, "tol must be positive, got 0.0")])
 def test_scalar_arguments_are_checked_before_the_covariance(monkeypatch, kwargs, name):
     # a bad scalar costs no O(n d^2) pass over the views, and a non-integer
     # max_iter is named rather than left to range()'s TypeError
@@ -469,3 +482,21 @@ def test_rms_error_basics():
 def test_make_shared_private_names_an_out_of_range_size(sizes, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         make_shared_private(1, **sizes)
+
+
+@pytest.mark.parametrize("noise_sd", [np.nan, np.inf, -np.inf])
+def test_make_shared_private_names_a_non_finite_noise_sd(noise_sd):
+    with pytest.raises(ValueError, match=f"^noise_sd must be finite, got {noise_sd}$"):
+        make_shared_private(1, n=50, noise_sd=noise_sd)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orthogonal_latents_need_more_rows_than_latents(n):
+    # centering leaves n - 1 degrees of freedom for the 4 latent columns, so
+    # the draw is refused before any product rather than failing inside one
+    _, _, truth = make_shared_private(1, n=50)
+    with pytest.raises(ValueError, match=f"^n must exceed q_shared \\+ q1 \\+ q2 = 4, got {n}$"):
+        draw_shared_private(truth, n, np.random.default_rng(0), orthogonal_latents=True)
+    # independent draws need no such row count
+    y1, y2 = draw_shared_private(truth, n, np.random.default_rng(0))
+    assert (y1.shape, y2.shape) == ((n, 15), (n, 12))
