@@ -97,8 +97,7 @@ def cmd_diffexpr(args):
         (args.noise_variance, ABSOLUTE)
     spec = KernelSpec(args.lengthscale, *noise)
     ranking = residual_scores(pair, spec, standardize=not args.no_standardize)
-    gene_ids = header1 if header1 and len(header1) == y1.shape[1] else \
-        [f"g{j}" for j in range(y1.shape[1])]
+    gene_ids = header1 or [f"g{j}" for j in range(y1.shape[1])]
     rank_of = np.argsort(ranking.order) + 1.0
 
     # two flags decide the kernel noise, so the manifest records the one used

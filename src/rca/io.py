@@ -20,8 +20,8 @@ def load_csv(path):
     names when the first line is non-numeric, row_labels the list of
     first-column labels when the first body cell is non-numeric or, under a
     header, any body row's first cell is; either is None when absent.
-    Raises ValueError on empty files, ragged rows, or any non-numeric data
-    cell (reported with line and column).
+    Raises ValueError on empty files, ragged rows, any non-numeric data cell
+    (reported with line and column) or a header not naming each value column.
     """
     lines, numbers, vectorizable = _read_lines(path)
     if not lines:
@@ -43,7 +43,7 @@ def load_csv(path):
     header = None
     first = lines[0].split(",")
     if not all(numeric(c) for c in first):
-        header = [c.strip() for c in first]
+        header, header_line = [c.strip() for c in first], numbers[0]
         lines, numbers = lines[1:], numbers[1:]
         if not lines:
             raise ValueError(f"{path}: header but no data rows")
@@ -52,9 +52,12 @@ def load_csv(path):
     # under a header, a number among the labels (a numeric gene id) is a label too
     labeled = not numeric(first[0]) or header is not None and not all(
         numeric(line.split(",", 1)[0]) for line in lines)
-    if labeled and header is not None and len(header) == len(first):
-        header = header[1:]
     width = len(first)
+    if labeled and header is not None and len(header) == width:
+        header = header[1:]
+    if header is not None and len(header) != width - labeled:
+        raise ValueError(f"{path}: line {header_line}: header has {len(header)} names "
+                         f"for {width - labeled} columns")
     row_labels = None
     if labeled:
         row_labels = [line.split(",", 1)[0].strip() for line in lines]
@@ -63,7 +66,7 @@ def load_csv(path):
         matrix = _parse_body(lines, width if labeled else None)
     if matrix is None:
         matrix = _parse_cells(path, lines, numbers, width, labeled)
-    if matrix.ndim != 2 or matrix.size == 0:
+    if matrix.size == 0:
         raise ValueError(f"{path}: no numeric data")
     return matrix, header, row_labels
 
@@ -159,25 +162,26 @@ _BLOCK_CELLS = 1 << 13
 
 def save_csv(path, matrix, header=None, row_labels=None):
     """load_csv's dual: write a matrix (a 1-D vector as one column) atomically,
-    under header, with row_labels (one per row) as a first column if given."""
+    under header, with row_labels (one per row) as a first column if given.
+    An empty matrix, or a header not naming each column written, raises."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
     n_rows, n_cols = matrix.shape
     if row_labels is not None and len(row_labels) != n_rows:
         raise ValueError(f"{len(row_labels)} row labels for {n_rows} rows")
-    step = max(1, _BLOCK_CELLS // max(n_cols, 1))
+    if matrix.size == 0:
+        raise ValueError(f"no CSV form for a matrix of shape {matrix.shape}")
+    if header is not None and len(header) != (width := n_cols + (row_labels is not None)):
+        raise ValueError(f"header has {len(header)} names for {width} columns")
+    step = max(1, _BLOCK_CELLS // n_cols)
     with _atomic_file(path) as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        elif n_rows == 0:
-            fh.write("\n")  # every file ends in a newline, even with no lines
         for start in range(0, n_rows, step):
-            block = matrix[start:start + step]
-            text = _format_rows(block) if n_cols else "\n" * len(block)
+            text = _format_rows(matrix[start:start + step])
             if row_labels is not None:
-                sep = "," if n_cols else ""
-                text = "".join(f"{label}{sep}{row}\n" for label, row in
+                text = "".join(f"{label},{row}\n" for label, row in
                                zip(row_labels[start:start + step], text.split("\n")))
             fh.write(text)
 

@@ -150,17 +150,13 @@ def gen_eig_spd(a, sigma):
 
     a (the gram) and sigma are (n, n) symmetric; sigma must be positive
     definite after the jitter policy, which _whitener applies. Returns
-    GenEig with the spectrum sorted descending and S' Sigma S = I. Sigma =
-    v I exactly takes gen_eig_lowrank (C = A / v, S = V / sqrt(v)); any
-    other Sigma gives T = L^{-1} (see _whitener).
+    GenEig with the spectrum sorted descending and S' Sigma S = I. Every
+    Sigma, v I included, is whitened by T = L^{-1} (see _whitener).
     """
     a = check_square_symmetric(a, "gram")
     sigma = check_square_symmetric(sigma, "sigma")
     if a.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: gram is {a.shape}, sigma is {sigma.shape}")
-    dim, v = a.shape[0], sigma[0, 0]
-    if v > 0 and np.count_nonzero(sigma) == dim and (np.diagonal(sigma) == v).all():
-        return gen_eig_lowrank(a, np.zeros((dim, 0)), v)
     return _whitened_eig(a, *_whitener(sigma))
 
 

@@ -175,6 +175,7 @@ def principal_angles_deg(a, b):
 def float_cell_csv(path):
     """Dense CSV read one float() call per cell, with load_csv's contract:
     (values, header, row_labels), or ValueError naming the line and column.
+    A header names every value column, and may name the label column too.
 
     Lines come from text-mode iteration (\\r\\n and \\r end a line, nothing
     else does); blank lines are skipped but still count toward the physical
@@ -198,7 +199,7 @@ def float_cell_csv(path):
     header = None
     if not all(is_number(cell) for cell in rows[0]):
         header = [cell.strip() for cell in rows.pop(0)]
-        numbers.pop(0)
+        header_line = numbers.pop(0)
         if not rows:
             raise ValueError(f"{path}: header but no data rows")
     labeled = not is_number(rows[0][0]) or header is not None and not all(
@@ -206,6 +207,9 @@ def float_cell_csv(path):
     width = len(rows[0])
     if labeled and header is not None and len(header) == width:
         header = header[1:]
+    if header is not None and len(header) != width - labeled:
+        raise ValueError(f"{path}: line {header_line}: header has {len(header)} "
+                         f"names for {width - labeled} columns")
     labels = [] if labeled else None
     values = np.empty((len(rows), width - labeled))
     for i, (number, row) in enumerate(zip(numbers, rows)):
@@ -228,12 +232,12 @@ def float_cell_csv(path):
 
 def percent_csv(matrix, header=None, row_labels=None):
     """The text save_csv writes, built one '%.17g' % cell at a time: the
-    header line if any (else an empty line for a matrix with no rows), then
-    one line per row, its label first when row_labels are given."""
+    header line if any, then one line per row, its label first when
+    row_labels are given."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
-    lines = [",".join(header)] if header is not None else [] if len(matrix) else [""]
+    lines = [] if header is None else [",".join(header)]
     for i, row in enumerate(matrix.tolist()):
         label = [] if row_labels is None else [str(row_labels[i])]
         lines.append(",".join(label + ["%.17g" % value for value in row]))

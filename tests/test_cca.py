@@ -31,6 +31,15 @@ def test_identical_views_give_unit_correlations():
     np.testing.assert_allclose(fit.correlations, np.ones(3), atol=1e-8)
 
 
+def test_a_correlation_of_exactly_one_is_not_clamped():
+    # variance 4 in each view: L = 2, T = 0.5 and T C12 T = 1.0, all exact,
+    # so the correlation is 1.0 itself, not above it
+    y = np.array([[2.0], [-2.0]])
+    fit = cca_fit(y, y.copy())
+    assert fit.correlations.tolist() == [1.0]
+    assert fit.clamped is False
+
+
 def test_orthogonal_column_spaces_give_no_correlations():
     # mutually orthogonal zero-mean sign patterns: cross-covariance is exactly 0
     y1 = np.array([[1.0], [-1.0], [1.0], [-1.0]])

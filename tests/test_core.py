@@ -93,6 +93,17 @@ def test_materialize_errors():
                 rca_fit(np.eye(2), LowRankPlusNoise(np.zeros((2, 0)), v))
 
 
+def test_low_rank_plus_noise_accepts_a_zero_variance():
+    # F F' + diag(v) is positive definite with a zero in v where F covers
+    # that row, so the spec fits like its dense form, without jitter
+    factors, variance = np.ones((3, 1)), np.array([0.0, 0.5, 2.0])
+    gram = np.array([[4.0, 1.0, 1.0], [1.0, 3.0, 1.0], [1.0, 1.0, 5.0]])
+    fit = rca_fit(gram, LowRankPlusNoise(factors, variance))
+    ref = rca_fit(gram, Explicit(factors @ factors.T + np.diag(variance)))
+    assert fit.eig.jitter == 0.0 and fit.q == ref.q
+    np.testing.assert_allclose(fit.eig.values, ref.eig.values, rtol=1e-12)
+
+
 # ---------------------------------------------------------------- rca_fit
 
 def test_fit_no_residual_structure():
@@ -271,10 +282,10 @@ def test_ppca_matches_tipping_bishop_oracle():
 
 
 def test_ppca_rejects_bad_sigma2():
-    with pytest.raises(ValueError, match="positive"):
-        ppca_fit(np.ones((3, 2)), 0.0)
-    for sigma2 in (np.nan, np.inf):
-        with pytest.raises(ValueError, match=f"sigma2 must be finite and positive, got {sigma2}"):
+    # each is ppca_fit's own error, not that of the ScaledIdentity it would build
+    for sigma2 in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError,
+                           match=f"^sigma2 must be finite and positive, got {sigma2}$"):
             ppca_fit(np.ones((3, 2)), sigma2)
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -236,6 +237,26 @@ def test_a_byte_order_mark_is_not_data(tmp_path):
     assert load_csv(p)[1] == ["a", "b"]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a,b,c\n1,2\n3,4\n", "line 1: header has 3 names for 2 columns"),
+    ("a\n1,2\n", "line 1: header has 1 names for 2 columns"),
+    ("\nid,a,b,c\ng1,1,2\n", "line 2: header has 4 names for 2 columns"),
+    ("a,b,c\ng1,1\n", "line 1: header has 3 names for 1 columns"),
+])
+def test_load_refuses_a_header_of_the_wrong_width(tmp_path, text, message):
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: {message}$"):
+        load_csv(p)
+
+
+def test_a_header_may_omit_the_label_column(tmp_path):
+    # R's write.table form: no name above the row labels
+    p = tmp_path / "m.csv"
+    p.write_text("a,b\ng1,1,2\ng2,3,4\n")
+    assert load_csv(p)[1:] == (["a", "b"], ["g1", "g2"])
+
+
 def test_save_golden_bytes(tmp_path):
     cases = [
         (np.array([[0.1, -0.0], [5e-324, 1e308]]), {},
@@ -243,13 +264,30 @@ def test_save_golden_bytes(tmp_path):
         (np.array([np.nan, np.inf, -np.inf, 1 / 3]), {},
          "nan\ninf\n-inf\n0.33333333333333331\n"),
         (np.array([[1.0], [2.0]]), {"header": ["v"]}, "v\n1\n2\n"),
-        (np.zeros((0, 3)), {}, "\n"),
-        (np.zeros((0, 2)), {"header": ["a", "b"]}, "a,b\n"),
     ]
     for matrix, kwargs, expected in cases:
         p = tmp_path / "m.csv"
         save_csv(p, matrix, **kwargs)
         assert p.read_bytes() == expected.encode("ascii"), (matrix, kwargs)
+    # a matrix with no rows or no columns has no text that load_csv reads back
+    for shape, kwargs in (((0, 3), {}), ((0, 2), {"header": ["a", "b"]}), ((3, 0), {})):
+        message = re.escape(f"no CSV form for a matrix of shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            save_csv(tmp_path / "empty.csv", np.zeros(shape), **kwargs)
+    assert [f.name for f in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_save_refuses_a_header_of_the_wrong_width(tmp_path):
+    # one name per column written, the label column included, as load_csv reads
+    matrix, labels = np.ones((2, 2)), ["r1", "r2"]
+    for header, row_labels, width in ((["a", "b", "c"], None, 2), (["a"], None, 2),
+                                      (["a", "b"], labels, 3), (["id", "a", "b", "c"], labels, 3)):
+        with pytest.raises(ValueError, match=f"^header has {len(header)} names for {width} "
+                                             "columns$"):
+            save_csv(tmp_path / "m.csv", matrix, header=header, row_labels=row_labels)
+    assert not any(tmp_path.iterdir())
+    save_csv(tmp_path / "m.csv", matrix, header=["id", "a", "b"], row_labels=labels)
+    assert load_csv(tmp_path / "m.csv")[1:] == (["a", "b"], labels)
 
 
 def _near_powers_of_ten():
@@ -654,6 +692,18 @@ def test_numeric_gene_ids_read_back_as_labels(tmp_path):
     scores, header, labels = load_csv(out / "scores.csv")
     assert (header, labels, scores.shape) == (["score", "rank"], ids, (4, 2))
     assert sorted(scores[:, 1]) == [1, 2, 3, 4]
+
+
+def test_diffexpr_refuses_a_header_wider_than_its_data(tmp_path, capsys):
+    # a name too many would otherwise shift every gene id off its column
+    (tmp_path / "y1.csv").write_text("a,b,c,d\n1,2,3\n2,3,5\n4,1,2\n")
+    save_csv(tmp_path / "y2.csv", np.array([[1.0, 2, 3], [3, 3, 1], [2, 0, 2]]))
+    out = tmp_path / "out"
+    assert run_cli("diffexpr", "--y1", str(tmp_path / "y1.csv"), "--y2", str(tmp_path / "y2.csv"),
+                   "--t1", "0,1,2", "--t2", "0,1,2", "-o", str(out)) == 1
+    assert capsys.readouterr().err == (f"error: diffexpr: ValueError: {tmp_path / 'y1.csv'}: "
+                                       "line 1: header has 4 names for 3 columns\n")
+    assert not out.exists()
 
 
 def test_diffexpr_bytes_match_a_per_row_format(tmp_path):

@@ -79,6 +79,22 @@ def below_edge_views(n=500, d1=15, d2=12):
     return basis[:, :d1] * np.linspace(3.0, 0.5, d1), basis[:, d1:] + 0.1 * basis[:, :d2]
 
 
+def test_start_rank_counts_the_correlations_above_the_wachter_edge():
+    # canonical correlations set exactly, two of them 0.002 either side of
+    # the edge (0.32369 at n=500, d1=15, d2=12). Flipping a sign or an
+    # operator in the edge formula moves it to 0.0185 or to 0.3278-0.3285,
+    # across one of them
+    n, d1, d2 = 500, 15, 12
+    rng = np.random.default_rng(7)
+    q, _ = np.linalg.qr(np.hstack([np.ones((n, 1)), rng.standard_normal((n, d1 + d2))]))
+    basis = q[:, 1:] * np.sqrt(n)
+    rho = np.zeros(d2)
+    rho[:4] = 0.9, 0.32569, 0.32169, 0.1
+    y2 = basis[:, d1:] + rho / np.sqrt(1.0 - rho ** 2) * basis[:, :d2]
+    y1 = basis[:, :d1] * np.linspace(3.0, 0.5, d1)
+    assert iterative_rca(y1, y2, alpha=0.1, max_iter=1).start_rank == 2
+
+
 def assert_same_model(a, b):
     for name in ("w1", "w2", "v1", "v2", "history"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))

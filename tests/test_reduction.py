@@ -150,6 +150,32 @@ def test_low_rank_variance_at_the_jitter_floor_takes_the_dense_route(
 
 
 @pytest.mark.parametrize("seed", range(3))
+def test_low_rank_variance_a_few_floors_up_takes_the_thin_route(lapack_calls, seed):
+    # one variance four times its floor JITTER_FLOOR * trace / p, with no
+    # factor on its row: the spec clears the floor and LOW_RANK_LIMIT, so it
+    # is whitened by the thin SVD and never factored. Sigma's condition number
+    # is ~1e12, so the loadings of the two routes agree only to ~1e-6; each
+    # route solves G S = Sigma S D to rounding
+    rng = np.random.default_rng(265 + seed)
+    factors = rng.standard_normal((P, 3))
+    variance = rng.uniform(0.2, 2.0, P)
+    factors[5] = 0.0
+    variance[5] = 4.0 * JITTER_FLOOR * (variance.sum() + np.sum(factors ** 2)) / P
+    spec, explicit, dense = low_rank_and_dense(factors, variance)
+    gram = planted_gram(rng, dense + np.eye(P))
+    lapack_calls.clear()
+    fit = rca_fit(gram, spec, n_obs=N_OBS)
+    assert lapack_calls == Counter(svd=1, eigh=1)
+    ref = rca_fit(gram, explicit, n_obs=N_OBS)
+    assert fit.eig.jitter == ref.eig.jitter == 0.0 and fit.q == ref.q
+    np.testing.assert_allclose(fit.eig.values, ref.eig.values, rtol=0,
+                               atol=1e-12 * ref.eig.values[0])
+    s, d = fit.eig.vectors, fit.eig.values
+    assert np.linalg.norm(gram @ s - dense @ s * d) <= \
+        1e-10 * np.linalg.norm(gram) * np.linalg.norm(s)
+
+
+@pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("fraction", [0.9, 1.1])
 def test_strong_factors_match_explicit_on_either_side_of_the_limit(
         lapack_calls, seed, fraction):
@@ -489,18 +515,17 @@ def test_block_fits_build_no_dense_sigma(monkeypatch):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("variance", [1e-3, 0.8, 7.5])
 def test_scaled_identity_is_bitwise_the_factor_free_low_rank_fit(seed, variance):
-    # the spec, its factor-free LowRankPlusNoise and the raw v I array (which
-    # gen_eig_spd's scan sends to the same solve) give the same bytes
+    # the spec and its factor-free LowRankPlusNoise give the same bytes (a raw
+    # v I array is factored like any dense Sigma: test_scaled_identity_matches_explicit)
     rng = np.random.default_rng(seed)
     gram = planted_gram(rng, variance * np.eye(P))
     ref = rca_fit(gram, ScaledIdentity(variance))
-    for sigma in (LowRankPlusNoise(np.zeros((P, 0)), variance), variance * np.eye(P)):
-        fit = rca_fit(gram, sigma)
-        for a, b in ((fit.eig.values, ref.eig.values), (fit.eig.vectors, ref.eig.vectors),
-                     (fit.loadings, ref.loadings)):
-            assert np.array_equal(a, b)
-        assert fit.log_likelihood == ref.log_likelihood
-        assert fit.q == ref.q == 3
+    fit = rca_fit(gram, LowRankPlusNoise(np.zeros((P, 0)), variance))
+    for a, b in ((fit.eig.values, ref.eig.values), (fit.eig.vectors, ref.eig.vectors),
+                 (fit.loadings, ref.loadings)):
+        assert np.array_equal(a, b)
+    assert fit.log_likelihood == ref.log_likelihood
+    assert fit.q == ref.q == 3
 
 
 @pytest.mark.parametrize("kind,p", [
@@ -560,12 +585,15 @@ def test_scaled_identity_fit_is_one_eigensolve(lapack_calls):
     gram = planted_gram(rng, np.eye(P))
     y = rng.standard_normal((40, P))
     for fit in (lambda: rca_fit(gram, ScaledIdentity(0.8)),
-                lambda: rca_fit(gram, 0.8 * np.eye(P)),
                 lambda: rca_fit(gram, LowRankPlusNoise(np.zeros((P, 0)), 0.8)),
                 lambda: ppca_fit(y, 0.5)):
         lapack_calls.clear()
         fit()
         assert lapack_calls == Counter(eigh=1)
+    # a raw v I array is a dense Sigma: one factor, its inverse, one eigensolve
+    lapack_calls.clear()
+    rca_fit(gram, 0.8 * np.eye(P))
+    assert lapack_calls == Counter(cholesky=1, inv=1, eigh=1)
 
 
 def test_cca_fit_budget(lapack_calls):
