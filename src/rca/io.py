@@ -27,48 +27,47 @@ def load_csv(path):
     if not lines:
         raise ValueError(f"{path}: empty file")
 
-    def numeric(cell):
-        try:
-            float(cell)
-            return True
-        except ValueError:
-            return False
-
     # the common file, numbers only with no header or row labels: one np.loadtxt
-    plain = vectorizable and numeric(lines[0].split(",", 1)[0])
-    matrix = _parse_body(lines, None) if plain else None
+    plain = vectorizable and _numeric(lines[0].split(",", 1)[0])
+    matrix = _parse_body(lines) if plain else None
     if matrix is not None:
         return matrix, None, None
 
     header = None
-    first = lines[0].split(",")
-    if not all(numeric(c) for c in first):
+    if not all(map(_numeric, first := lines[0].split(","))):
         header, header_line = [c.strip() for c in first], numbers[0]
         lines, numbers = lines[1:], numbers[1:]
         if not lines:
             raise ValueError(f"{path}: header but no data rows")
-        first = lines[0].split(",")
 
+    labels = [line.partition(",")[0] for line in lines]
     # under a header, a number among the labels (a numeric gene id) is a label too
-    labeled = not numeric(first[0]) or header is not None and not all(
-        numeric(line.split(",", 1)[0]) for line in lines)
-    width = len(first)
+    labeled = not _numeric(labels[0]) or header is not None and not all(map(_numeric, labels))
+    width = len(lines[0].split(","))
     if labeled and header is not None and len(header) == width:
         header = header[1:]
     if header is not None and len(header) != width - labeled:
         raise ValueError(f"{path}: line {header_line}: header has {len(header)} names "
                          f"for {width - labeled} columns")
-    row_labels = None
-    if labeled:
-        row_labels = [line.split(",", 1)[0].strip() for line in lines]
-    # without a header or labels, these are the lines the call above rejected
-    if vectorizable and (header is not None or labeled):
-        matrix = _parse_body(lines, width if labeled else None)
+    row_labels = [label.strip() for label in labels] if labeled else None
+    body = [line[len(label) + 1:] for line, label in zip(lines, labels)] if labeled else lines
+    # skip what loadtxt rejected above (no header or labels) or warns on (empty values)
+    if vectorizable and (header is not None or labeled) and all(body):
+        matrix = _parse_body(body)
     if matrix is None:
         matrix = _parse_cells(path, lines, numbers, width, labeled)
     if matrix.size == 0:
         raise ValueError(f"{path}: no numeric data")
     return matrix, header, row_labels
+
+
+def _numeric(cell):
+    """Whether float() reads cell, which tells data from a header or a label."""
+    try:
+        float(cell)
+        return True
+    except ValueError:
+        return False
 
 
 # np.loadtxt strips these around a number and float() does not
@@ -91,17 +90,11 @@ def _read_lines(path):
     return [lines[i - 1] for i in numbers], numbers, vectorizable
 
 
-def _parse_body(lines, label_width):
-    """The body as one np.loadtxt call, or None when only the per-cell
-    parse can decide (an error to report, or a cell only float() reads).
-    label_width is the column count of a body whose first column holds row
-    labels, None for an unlabeled body (loadtxt rejects ragged rows itself)."""
-    labeled = label_width is not None
-    if labeled and any(line.count(",") != label_width - 1 for line in lines):
-        return None  # loadtxt ignores columns past usecols
+def _parse_body(lines):
+    """lines as one np.loadtxt call, or None when only the per-cell parse can
+    decide: an error to report, a ragged row among them, or a cell only float() reads."""
     try:
-        matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                            usecols=range(1, label_width) if labeled else None)
+        matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
     # one row per body line, should a numpy version skip a line as blank
@@ -163,7 +156,8 @@ _BLOCK_CELLS = 1 << 13
 def save_csv(path, matrix, header=None, row_labels=None):
     """load_csv's dual: write a matrix (a 1-D vector as one column) atomically,
     under header, with row_labels (one per row) as a first column if given.
-    An empty matrix, or a header not naming each column written, raises."""
+    An empty matrix, a header not naming each column written, or names and
+    labels that load_csv would not read back as written, raise."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim == 1:
         matrix = matrix[:, None]
@@ -174,6 +168,7 @@ def save_csv(path, matrix, header=None, row_labels=None):
         raise ValueError(f"no CSV form for a matrix of shape {matrix.shape}")
     if header is not None and len(header) != (width := n_cols + (row_labels is not None)):
         raise ValueError(f"header has {len(header)} names for {width} columns")
+    _check_names(header, row_labels)
     step = max(1, _BLOCK_CELLS // n_cols)
     with _atomic_file(path) as fh:
         if header is not None:
@@ -184,6 +179,25 @@ def save_csv(path, matrix, header=None, row_labels=None):
                 text = "".join(f"{label},{row}\n" for label, row in
                                zip(row_labels[start:start + step], text.split("\n")))
             fh.write(text)
+
+
+def _check_names(header, row_labels):
+    """Raise unless load_csv reads header and row_labels back as written:
+    the header line must read as one, and a name or label must keep its
+    cell (no comma or line break) and its spaces (none around it). Labels
+    need a header, or the first labeled row would read as one."""
+    if row_labels is not None and header is None:
+        raise ValueError("row labels need a header: without one the first "
+                         "labeled row reads back as a header")
+    if header is not None:
+        line = ",".join(header)
+        if not line or line[0] == "\ufeff" or all(map(_numeric, header)):
+            raise ValueError(f"header line {line!r} does not read back as written")
+    for name in [*(header or ()), *(() if row_labels is None else row_labels)]:
+        name = str(name)
+        if "," in name or "\n" in name or "\r" in name or name != name.strip():
+            raise ValueError(f"name or label {name!r} does not read back: it holds "
+                             "a comma, a line break or surrounding whitespace")
 
 
 # The exact range, 1e-11 < |x| < 2**51: each such x prints with a decimal

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import rca.cli
 import rca.io
@@ -62,6 +62,7 @@ def test_load_errors(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("1,2\n\n3,x\n", "line 3, column 2: not a number: 'x'"),
     ("a,b\n\n\n1,2\n3\n", "line 5: expected 2 columns, found 1"),
+    ("id,x\ng1,1\ng2,2,3\n", "line 3: expected 2 columns, found 3"),  # a labeled row too wide
 ])
 def test_load_errors_report_physical_line_numbers(tmp_path, text, message):
     p = tmp_path / "m.csv"
@@ -288,6 +289,85 @@ def test_save_refuses_a_header_of_the_wrong_width(tmp_path):
     assert not any(tmp_path.iterdir())
     save_csv(tmp_path / "m.csv", matrix, header=["id", "a", "b"], row_labels=labels)
     assert load_csv(tmp_path / "m.csv")[1:] == (["a", "b"], labels)
+
+
+_UNREADABLE = "does not read back: it holds a comma, a line break or surrounding whitespace"
+
+
+@pytest.mark.parametrize("header, row_labels, message", [
+    pytest.param(["a,b"], None, f"name or label 'a,b' {_UNREADABLE}", id="comma_in_name"),
+    pytest.param(["id", "x"], ["g,1", "g2"], f"name or label 'g,1' {_UNREADABLE}",
+                 id="comma_in_label"),
+    pytest.param(["id", "x"], ["a\nb", "c"], f"name or label 'a\\nb' {_UNREADABLE}",
+                 id="newline_in_label"),
+    pytest.param(["a\rb"], None, f"name or label 'a\\rb' {_UNREADABLE}", id="return_in_name"),
+    pytest.param([" v "], None, f"name or label ' v ' {_UNREADABLE}", id="spaced_name"),
+    pytest.param(["id", "x"], ["g1", "g2\t"], f"name or label 'g2\\t' {_UNREADABLE}",
+                 id="spaced_label"),
+    pytest.param(["1", "2"], None, "header line '1,2' does not read back as written",
+                 id="numeric_header"),
+    pytest.param(["nan"], None, "header line 'nan' does not read back as written",
+                 id="nan_header"),
+    pytest.param([""], None, "header line '' does not read back as written", id="blank_header"),
+    pytest.param(["\ufeffa"], None, "header line '\\ufeffa' does not read back as written",
+                 id="byte_order_mark"),
+    pytest.param(None, ["1", "2"], "row labels need a header", id="numeric_label_no_header"),
+    pytest.param(None, ["g1", "g2"], "row labels need a header", id="label_no_header"),
+])
+def test_save_refuses_names_that_do_not_read_back(tmp_path, header, row_labels, message):
+    n_cols = 1 if header is None else len(header) - (row_labels is not None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        save_csv(tmp_path / "m.csv", np.ones((2, n_cols)), header=header, row_labels=row_labels)
+    assert not any(tmp_path.iterdir())
+
+
+# names and labels: a plain name or number, or three parts, each empty, a
+# character that can break a CSV cell or line, or one a name or number holds
+_PART = st.sampled_from(["", "a", "g", "1", "0", ".", "e", "nan", ",", "\n", "\r", " ", "\t"])
+_NAME = st.sampled_from(["", "a", "g1", "1", "nan"]) | st.builds(
+    lambda *parts: "".join(parts), _PART, _PART, _PART)
+
+
+@st.composite
+def saved_tables(draw):
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    matrix = np.array(draw(st.lists(st.floats(allow_nan=False), min_size=n_rows * n_cols,
+                                    max_size=n_rows * n_cols))).reshape(n_rows, n_cols)
+    row_labels = draw(st.lists(_NAME, min_size=n_rows, max_size=n_rows) | st.none())
+    labeled = row_labels is not None
+    header = draw(st.lists(_NAME, min_size=n_cols + labeled, max_size=n_cols + labeled) |
+                  st.none())
+    return matrix, header, row_labels
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(saved_tables())
+@example((np.ones((1, 1)), [""], None))  # a header line that is blank
+@example((np.ones((2, 1)), ["\ufeffa"], None))  # utf-8-sig drops a leading mark
+def test_save_refuses_or_reads_back_exactly(tmp_path, table):
+    matrix, header, row_labels = table
+    # numeric labels under a header read back as a data column, by design
+    assume(header is None or row_labels is None or not all(map(_is_number, row_labels)))
+    p = tmp_path / "m.csv"
+    p.unlink(missing_ok=True)
+    try:
+        save_csv(p, matrix, header=header, row_labels=row_labels)
+    except ValueError:
+        assert not p.exists()
+        return
+    values, back_header, back_labels = load_csv(p)
+    assert values.tobytes() == matrix.tobytes()
+    assert back_header == (header[1:] if row_labels is not None else header)
+    assert back_labels == row_labels
 
 
 def _near_powers_of_ten():
@@ -692,6 +772,21 @@ def test_numeric_gene_ids_read_back_as_labels(tmp_path):
     scores, header, labels = load_csv(out / "scores.csv")
     assert (header, labels, scores.shape) == (["score", "rank"], ids, (4, 2))
     assert sorted(scores[:, 1]) == [1, 2, 3, 4]
+
+
+def test_all_numeric_gene_ids_are_written_and_read_back_as_data(tmp_path):
+    # ids under a labeled y1.csv's header, every one a number: save_csv keeps
+    # them, and scores.csv reads back with them as its first data column
+    ids = ["7157", "7158", "672", "675"]
+    (tmp_path / "y1.csv").write_text("time," + ",".join(ids) +
+                                     "\nt0,1,2,3,4\nt1,2,3,4,6\nt2,4,1,2,3\n")
+    save_csv(tmp_path / "y2.csv", np.array([[1.0, 2, 3, 5], [3, 3, 1, 4], [2, 0, 2, 2]]))
+    out = tmp_path / "out"
+    assert run_cli("diffexpr", "--y1", str(tmp_path / "y1.csv"), "--y2", str(tmp_path / "y2.csv"),
+                   "--t1", "0,1,2", "--t2", "0,1,2", "-o", str(out)) == 0
+    scores, header, labels = load_csv(out / "scores.csv")
+    assert (header, labels, scores.shape) == (["gene_id", "score", "rank"], None, (4, 3))
+    assert scores[:, 0].tolist() == [float(i) for i in ids]
 
 
 def test_diffexpr_refuses_a_header_wider_than_its_data(tmp_path, capsys):

@@ -357,6 +357,20 @@ def test_log_marginal_scores_a_singular_covariance_with_the_jitter():
     assert log_marginal(y, None, sigma) == pytest.approx(direct, rel=1e-10)
 
 
+def test_a_factor_whose_inverse_overflows_takes_the_jitter():
+    # Sigma = 1e-314 L0 L0' factors, but L^{-1} = 1e157 L0^{-1} holds 10^k
+    # below its diagonal and overflows. Its floor, 1e-12 times a subnormal
+    # mean, is so small that Sigma - floor I factors too, so only the
+    # finiteness check of that inverse sends it on to the jitter
+    p = 400
+    l0 = np.eye(p) - 10.0 * np.eye(p, k=-1)
+    sigma = 1e-314 * (l0 @ l0.T)
+    fit = rca_fit(sigma, Explicit(sigma))
+    assert fit.eig.jitter > 0
+    assert np.isfinite(fit.eig.values).all() and np.isfinite(fit.eig.vectors).all()
+    assert np.isfinite(log_marginal(1e-160 * np.ones((p, 2)), None, sigma))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_block_rescaling_keeps_the_block_diagonal_fit(seed):
     # P = blockdiag(1e6 I, I) sends G to P G P and Sigma to P Sigma P, which
