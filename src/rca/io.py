@@ -3,8 +3,15 @@
 Numbers are written with 17 significant digits so a save/load round trip
 reproduces doubles exactly; every file is written to a temporary sibling
 and renamed into place, so readers never observe a half-written artifact.
+Both directions run numpy kernels over blocks of cells. The writer finds
+each cell's 17 digits with integer arithmetic (_exact_cells); the reader
+reads digits 8 to a uint64 word and rounds them exactly (_kernel), where
+float(), which np.loadtxt also calls per cell, takes a big-integer path on
+every cell of more than 15 digits. Cells outside a kernel's range take
+'%' or float() themselves, so the bytes and values are always theirs.
 """
 
+import codecs
 import contextlib
 import os
 
@@ -23,39 +30,50 @@ def load_csv(path):
     Raises ValueError on empty files, ragged rows, any non-numeric data cell
     (reported with line and column) or a header not naming each value column.
     """
-    lines, numbers, vectorizable = _read_lines(path)
-    if not lines:
+    data = _read(path)
+    bounds, last = _split(data)
+    if not last.size:
         raise ValueError(f"{path}: empty file")
 
-    # the common file, numbers only with no header or row labels: one np.loadtxt
-    plain = vectorizable and _numeric(lines[0].split(",", 1)[0])
-    matrix = _parse_body(lines) if plain else None
-    if matrix is not None:
-        return matrix, None, None
+    # the common file, numbers only with no header or row labels: one parse
+    plain = _numeric(_text(data, bounds, 0))
+    if plain and (cells := _rows(bounds, last, 0)):
+        matrix = _parse(data, *cells)
+        if matrix is not None:
+            return matrix, None, None
 
     header = None
-    if not all(map(_numeric, first := lines[0].split(","))):
-        header, header_line = [c.strip() for c in first], numbers[0]
-        lines, numbers = lines[1:], numbers[1:]
-        if not lines:
+    row = 0  # the first body row
+    if not plain or _parse(data, bounds[None, :last[0] + 1], bounds[None, 1:last[0] + 2]) is None:
+        header = [_text(data, bounds, i).strip() for i in range(last[0] + 1)]
+        header_line = data.count(b"\n", 0, bounds[last[0] + 1]) + 1
+        row = 1
+        if last.size == 1:
             raise ValueError(f"{path}: header but no data rows")
 
-    labels = [line.partition(",")[0] for line in lines]
-    # under a header, a number among the labels (a numeric gene id) is a label too
-    labeled = not _numeric(labels[0]) or header is not None and not all(map(_numeric, labels))
-    width = len(lines[0].split(","))
+    # each body row's first cell: labels when the first of them is not a
+    # number or, under a header, when any is not (a numeric gene id)
+    firsts = np.concatenate([[-1], last[:-1]])[row:] + 1
+    labeled = not _numeric(_text(data, bounds, firsts[0]))
+    # without a header the body is the whole file, which the parse above refused
+    cells = _rows(bounds, last, row) if header is not None else None
+    matrix = _parse(data, cells[0][:, labeled:], cells[1][:, labeled:]) if cells else None
+    if header is not None and not labeled and matrix is None:
+        labeled = _parse(data, bounds[firsts, None], bounds[firsts + 1, None]) is None
+        if labeled and cells:
+            matrix = _parse(data, cells[0][:, 1:], cells[1][:, 1:])
+    width = last[row] - firsts[0] + 1
     if labeled and header is not None and len(header) == width:
         header = header[1:]
     if header is not None and len(header) != width - labeled:
         raise ValueError(f"{path}: line {header_line}: header has {len(header)} names "
                          f"for {width - labeled} columns")
-    row_labels = [label.strip() for label in labels] if labeled else None
-    body = [line[len(label) + 1:] for line, label in zip(lines, labels)] if labeled else lines
-    # skip what loadtxt rejected above (no header or labels) or warns on (empty values)
-    if vectorizable and (header is not None or labeled) and all(body):
-        matrix = _parse_body(body)
+    row_labels = [data[lo + 1:hi].decode().strip() for lo, hi in zip(
+        bounds[firsts].tolist(), bounds[firsts + 1].tolist())] if labeled else None
     if matrix is None:
-        matrix = _parse_cells(path, lines, numbers, width, labeled)
+        lines = data.decode().split("\n")
+        numbers = [i for i, line in enumerate(lines, 1) if line != ""][row:]
+        matrix = _parse_cells(path, [lines[i - 1] for i in numbers], numbers, width, labeled)
     if matrix.size == 0:
         raise ValueError(f"{path}: no numeric data")
     return matrix, header, row_labels
@@ -70,35 +88,175 @@ def _numeric(cell):
         return False
 
 
-# np.loadtxt strips these around a number and float() does not
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+def _read(path):
+    """The bytes of path as utf-8-sig text mode reads them: without a
+    leading byte-order mark, and with \\r\\n and \\r turned into \\n. No
+    UTF-8 sequence holds an ASCII byte, so each cell decodes on its own, and
+    a cell that is not UTF-8 raises UnicodeDecodeError (a ValueError) when
+    it is decoded; the kernel reads only cells of ASCII digits."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8):]
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
-def _read_lines(path):
-    """The non-empty lines of path, their physical line numbers, and whether
-    np.loadtxt may parse them.
+# bytes scanned for separators per step: bounds each step's masks at ~1 MB
+_BLOCK_BYTES = 1 << 20
 
-    Text mode has already turned \\r\\n and \\r into \\n, and utf-8-sig has
-    dropped a leading byte-order mark. splitlines() would also split on \\f,
-    \\v and Unicode separators, which float() strips.
+
+def _split(data):
+    """(bounds, last): cell i of data is data[bounds[i] + 1:bounds[i + 1]],
+    and last holds the index of each row's last cell.
+
+    bounds holds -1, the offset of each comma and of each newline that ends
+    a non-blank line, then len(data) when the last line has no newline. A
+    blank line's newline is no separator: it joins the next cell, and
+    float() and strip() drop it from there. Only "," and "\\n" separate, as
+    for str.split; splitlines() would also split on \\f, \\v and Unicode
+    separators, which float() strips.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    vectorizable = not any(c in text for c in _LOADTXT_ONLY_SPACE)
-    lines = text.split("\n")
-    numbers = [i for i, line in enumerate(lines, 1) if line != ""]
-    return [lines[i - 1] for i in numbers], numbers, vectorizable
+    arr = np.frombuffer(data, np.uint8)
+    bounds, newlines = [np.array([-1])], [np.zeros(0, bool)]
+    for at in range(0, arr.size, _BLOCK_BYTES):
+        # "," and "\n" are below "-", as are few other bytes a number holds
+        found = np.flatnonzero(arr[at:at + _BLOCK_BYTES] < ord("-")) + at
+        byte = arr[found]
+        # a newline first in the file or right after another ends a blank line
+        newline = (byte == ord("\n")) & (arr[found - 1] != ord("\n")) & (found > 0)
+        keep = newline | (byte == ord(","))
+        bounds.append(found[keep])
+        newlines.append(newline[keep])
+    if arr.size and arr[-1] != ord("\n"):
+        bounds.append(np.array([arr.size]))
+        newlines.append(np.array([True]))
+    return np.concatenate(bounds), np.flatnonzero(np.concatenate(newlines))
 
 
-def _parse_body(lines):
-    """lines as one np.loadtxt call, or None when only the per-cell parse can
-    decide: an error to report, a ragged row among them, or a cell only float() reads."""
-    try:
-        matrix = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
+def _text(data, bounds, i):
+    """Cell i as text."""
+    return data[bounds[i] + 1:bounds[i + 1]].decode()
+
+
+def _rows(bounds, last, row):
+    """(lo, hi): the bounds before and after each cell of rows row on, one
+    array row per CSV row, or None when those rows differ in width."""
+    first = last[row - 1] + 1 if row else 0
+    width = last[row] - first + 1
+    if np.any(np.diff(last[row:]) != width):
         return None
-    # one row per body line, should a numpy version skip a line as blank
-    return matrix if matrix.shape[0] == len(lines) else None
+    cells = bounds[first:first + (last.size - row) * width + 1]
+    return cells[:-1].reshape(-1, width), cells[1:].reshape(-1, width)
+
+
+# The parse kernel reads the last _CELL bytes before each cell's end. A cell
+# -?digits[.digits] of at most _CELL bytes, whose digits read as one
+# integer V < 2**62 with f <= 22 of them after the point, is V / 10**f with
+# 10**f exact. The kernel rounds it as float() does (Clinger, PLDI 1990),
+# from q1 = fl(fl(V) / 10**f) and the remainder V - q1 * 10**f, made exact
+# by Dekker's product (Numer. Math. 18, 1971). Every other cell, and one
+# within 2**-30 ulp of a tie, takes float().
+_CELL = 24
+_STEP_CELLS = 1 << 13  # cells per kernel tile: bounds its arrays at a few MB
+# _FROM[j, k]: word j of a cell's bytes, little-endian, with 0xFF in bytes
+# k and after, 0 before them
+_FROM = np.array([[sum(0xFF << 8 * (b - 8 * j) for b in range(max(k, 8 * j), 8 * j + 8))
+                   for k in range(_CELL + 1)] for j in range(3)], np.uint64)
+_BEFORE = ~_FROM
+_TEN = 10.0 ** np.arange(23)
+_TEN_HI = _TEN * (2 ** 27 + 1) - (_TEN * (2 ** 27 + 1) - _TEN)  # Dekker's split
+_TEN_LO = _TEN - _TEN_HI
+
+
+def _bytes(byte):
+    """byte in each byte of a uint64."""
+    return np.uint64(byte * 0x0101010101010101)
+
+
+def _parse(data, lo, hi):
+    """The cells between bounds lo and hi (2-D, as from _rows) as a float
+    matrix of their shape, each cell as float() reads its text, or None when
+    float() refuses one."""
+    arr = np.frombuffer(data, np.uint8)
+    if arr.size < _CELL:
+        arr = np.zeros(_CELL, np.uint8)  # every cell ends before _CELL: float() reads all
+    # each window of _CELL bytes as one item, gathered by its first offset
+    windows = np.ndarray((arr.size - _CELL + 1,), f"V{_CELL}", arr, 0, (1,))
+    out = np.empty(lo.shape)
+    # tiles of whole rows, or of part of one row when a row is wider
+    cols = max(1, min(lo.shape[1], _STEP_CELLS))
+    rows = _STEP_CELLS // cols
+    for tile in ((slice(r, r + rows), slice(c, c + cols)) for r in range(0, lo.shape[0], rows)
+                 for c in range(0, lo.shape[1], cols)):
+        start, end = lo[tile].ravel() + 1, hi[tile].ravel()
+        values, fast = _kernel(arr, windows, start, end)
+        for i in np.flatnonzero(~fast).tolist():
+            try:
+                values[i] = float(data[start[i]:end[i]].decode())
+            except ValueError:
+                return None
+        out[tile] = values.reshape(out[tile].shape)
+    return out
+
+
+def _kernel(arr, windows, start, end):
+    """(values, fast): each cell arr[start:end] as V / 10**f where fast, by
+    the rule above _CELL; fast is False where float() must read the cell."""
+    neg = arr[np.minimum(start, arr.size - 1)] == ord("-")
+    lead = _CELL - (end - start) + neg  # the window byte of the first digit
+    fast = (lead < _CELL) & (lead >= 0) & (end >= _CELL)
+    # the cell's bytes after the sign, right-aligned in three words (one row
+    # each), XOR "0" so that digits read 0-9, and 0 before them
+    x = windows[np.maximum(end - _CELL, 0)].view(np.uint64).reshape(-1, 3).T.copy()
+    x ^= _bytes(ord("0"))
+    x &= _FROM.take(np.clip(lead, 0, _CELL), axis=1)
+    # the top bit of each byte that is no digit, byte k of word j at bit 8k + 7 - j
+    high = (((x & _bytes(0x7F)) + _bytes(0x76)) | x) & _bytes(0x80)
+    others = high[0] | high[1] >> np.uint64(1) | high[2] >> np.uint64(2)
+    count = np.bitwise_count(others)
+    point = count == 1
+    bit = np.bitwise_count(others - np.uint64(1)).astype(np.int64)
+    at = np.where(point, 8 * (7 - (bit & 7)) + (bit >> 3), -1)  # the point's byte
+    fast &= (count == 0) | point & (arr[np.maximum(end - _CELL + at, 0)] == ord("."))
+    fast &= lead + point < _CELL  # a digit besides the point
+    # drop the point: the digits before it move one byte right
+    shifted = x << np.uint64(8)
+    shifted[1:] |= x[:-1] >> np.uint64(56)
+    x ^= (x ^ shifted) & _BEFORE.take(at + 1, axis=1)
+    f = np.where(point, _CELL - 1 - at, 0)
+    # 8 digits per word, most significant byte first (SWAR)
+    x = x * np.uint64(10 * 256 + 1) >> np.uint64(8)
+    x = (x & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(100 * 65536 + 1) >> np.uint64(16)
+    x = (x & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(10000 * 2 ** 32 + 1) >> np.uint64(32)
+    fast &= (x[0] < 462) & (f <= 22)  # from 462 on, v >= 2**62 (or wraps round)
+    v = (x[0] * np.uint64(10 ** 16) + x[1] * np.uint64(10 ** 8)) + x[2]
+    fast &= v < np.uint64(2 ** 62)
+    v[~fast] = 0
+    f[~fast] = 0
+
+    # q1 = fl(fl(v) / p), then the remainder r = v - q1 * p: v = vh + vl and
+    # q1 * p = ph + pl exactly, and v - ph is exact (an integer below 2**11
+    # when v >= 2**53, a Sterbenz difference when not)
+    vh = v.astype(np.float64)
+    vl = (v.astype(np.int64) - vh.astype(np.int64)).astype(np.float64)
+    p = _TEN.take(f)
+    q1 = vh / p
+    split = q1 * (2 ** 27 + 1)
+    qh = split - (split - q1)
+    ql = q1 - qh
+    p_hi, p_lo = _TEN_HI.take(f), _TEN_LO.take(f)
+    ph = q1 * p
+    pl = ((qh * p_hi - ph) + qh * p_lo + ql * p_hi) + ql * p_lo
+    t = ((vh - ph) + vl - pl) / p  # v / p - q1, to a relative 2**-52
+    q = q1 + t  # v / p rounded, unless v / p lies within ~2**-50 ulp of a tie
+    d = (q1 - q) + t  # v / p - q
+    # a tie lies halfway to q's neighbour on the side of d
+    bits = q.view(np.int64)
+    gap = np.abs((bits + 1 - 2 * (d < 0)).view(np.float64) - q)
+    fast &= np.abs(2 * np.abs(d) - gap) > gap * 2.0 ** -29
+    return np.where(neg, -q, q), fast
 
 
 def _parse_cells(path, lines, numbers, width, labeled):
@@ -233,17 +391,39 @@ def _scaled(mant, exp, k):
 
 def _format_rows(block):
     """The rows of a 2-D block as text, each cell exactly FLOAT_FMT % cell,
-    cells joined by "," and rows ended by "\\n". Zeros and cells in the exact
-    range take the 17 digits round(|x| * 10**(16 - k)) from _scaled and %g's
-    layout, built one byte position per row over all cells, NUL where a cell
-    is shorter, then transposed and stripped of the NULs."""
+    cells joined by "," and rows ended by "\\n": zeros and cells in the
+    exact range from _exact_cells, the others from one batched '%', each
+    NUL-padded to _WIDTH bytes, then stripped of the NULs."""
     n_rows, n_cols = block.shape
     x = block.ravel()
-    n = x.size
     mag = np.abs(x)
-    exact = (mag > 1e-11) & (mag < 2.0 ** 51)  # the exact range
+    exact = ((mag > 1e-11) & (mag < 2.0 ** 51)) | (mag == 0)
+    if not (count := np.count_nonzero(exact)):
+        return (",".join([FLOAT_FMT] * n_cols) + "\n") * n_rows % tuple(x.tolist())
+    sep = np.where(np.arange(x.size) % n_cols == n_cols - 1, ord("\n"), ord(","))
+    if count == x.size:
+        text = _exact_cells(x, mag, sep)
+    else:
+        text = np.empty((x.size, _WIDTH), np.uint8)
+        text[exact] = _exact_cells(x[exact], mag[exact], sep[exact])
+        rest = np.flatnonzero(~exact)
+        fmt = ",".join([FLOAT_FMT] * rest.size).encode()
+        cells = np.array((fmt % tuple(x[rest].tolist())).split(b","), f"S{_WIDTH}")
+        chars = cells.view(np.uint8).reshape(rest.size, _WIDTH)
+        chars[np.arange(rest.size), np.strings.str_len(cells)] = sep[rest]
+        text[rest] = chars
+    return text[text != 0].tobytes().decode("ascii")
+
+
+def _exact_cells(x, mag, sep):
+    """The cells x (each zero or in the exact range, mag = |x|) as
+    FLOAT_FMT % cell and its separator sep, one row of _WIDTH bytes each,
+    NUL where a cell is shorter. Each takes the 17 digits
+    round(|x| * 10**(16 - k)) from _scaled and %g's layout, built one byte
+    position per row over all cells, then transposed."""
+    n = x.size
     zero = mag == 0
-    v = np.where(exact, mag, 1.0)  # a stand-in keeps frexp and log10 quiet
+    v = np.where(zero, 1.0, mag)  # a stand-in keeps frexp and log10 quiet
     frac, exp = np.frexp(v)
     mant, exp = (frac * 2.0 ** 53).astype(np.uint64), exp.astype(np.int64)
     k = np.maximum(np.floor(np.log10(v)), -11).astype(np.int64)
@@ -287,7 +467,6 @@ def _format_rows(block):
     body *= (_POS > at).view(np.uint8)
     body += digit_rows[1:]
     body -= (body - mark.astype(np.uint8)) * (_POS == at).view(np.uint8)
-    sep = np.where(np.arange(n) % n_cols == n_cols - 1, ord("\n"), ord(","))
     # exponents in this range are -05 to -11
     e_form, tens = ~fixed, k <= -10
     text[23] = np.where(e_form, ord("e"), sep)
@@ -296,15 +475,7 @@ def _format_rows(block):
     text[26] = e_form * (ord("0") - k - 10 * tens)
     text[27] = e_form * sep
 
-    rest = np.flatnonzero(~(exact | zero))
-    if rest.size:
-        fmt = ",".join([FLOAT_FMT] * rest.size).encode()
-        cells = np.array((fmt % tuple(x[rest].tolist())).split(b","), f"S{_WIDTH}")
-        chars = cells.view(np.uint8).reshape(rest.size, _WIDTH)
-        chars[np.arange(rest.size), np.strings.str_len(cells)] = sep[rest]
-        text[:, rest] = chars.T
-    text = np.ascontiguousarray(text.T)
-    return text[text != 0].tobytes().decode("ascii")
+    return np.ascontiguousarray(text.T)
 
 
 def format_manifest(entries):

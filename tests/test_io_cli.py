@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,20 +74,20 @@ def test_load_errors_report_physical_line_numbers(tmp_path, text, message):
 
 @pytest.fixture
 def body_parses(monkeypatch):
-    """The line count given to each np.loadtxt call and to each per-cell
-    parse, in call order."""
-    calls = {"loadtxt": [], "cells": []}
-    loadtxt, parse_cells = np.loadtxt, rca.io._parse_cells
+    """The cell count given to each kernel parse and the line count given to
+    each per-cell parse, in call order."""
+    calls = {"kernel": [], "cells": []}
+    parse, parse_cells = rca.io._parse, rca.io._parse_cells
 
-    def counted_loadtxt(lines, *args, **kwargs):
-        calls["loadtxt"].append(len(lines))
-        return loadtxt(lines, *args, **kwargs)
+    def counted_parse(data, lo, hi):
+        calls["kernel"].append(lo.size)
+        return parse(data, lo, hi)
 
     def counted_cells(path, lines, *args):
         calls["cells"].append(len(lines))
         return parse_cells(path, lines, *args)
 
-    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(rca.io, "_parse", counted_parse)
     monkeypatch.setattr(rca.io, "_parse_cells", counted_cells)
     return calls
 
@@ -100,21 +101,22 @@ _ROWS = [f"{i},{i / 7!r},-{i}e3" for i in range(40)]
     pytest.param(["id,a,b,c"] + [f"g{i},{row}" for i, row in enumerate(_ROWS)],
                  id="header_and_labels"),
 ])
-def test_a_valid_file_is_one_loadtxt_call(tmp_path, body_parses, lines):
+def test_a_valid_file_takes_one_kernel_parse_and_no_per_cell_parse(tmp_path, body_parses,
+                                                                   lines):
     p = tmp_path / "m.csv"
     p.write_text("\n".join(lines) + "\n")
     values, _, _ = load_csv(p)
     assert values.shape == (len(_ROWS), 3)
-    assert body_parses == {"loadtxt": [len(_ROWS)], "cells": []}
+    assert body_parses == {"kernel": [values.size], "cells": []}
 
 
-def test_a_bad_last_cell_is_at_most_one_loadtxt_call(tmp_path, body_parses):
+def test_a_bad_last_cell_reaches_the_per_cell_parser_once(tmp_path, body_parses):
     p = tmp_path / "m.csv"
     p.write_text("\n".join(_ROWS + ["1,2,x"]) + "\n")
     with pytest.raises(ValueError, match="line 41, column 3: not a number: 'x'"):
         load_csv(p)
-    assert body_parses["loadtxt"] in ([], [41])
-    assert body_parses["cells"] == [41]
+    # the whole file, refused; then its first line, read as data, not a header
+    assert body_parses == {"kernel": [41 * 3, 3], "cells": [41]}
 
 
 def test_round_trip_bit_exact(tmp_path, monkeypatch):
@@ -169,7 +171,7 @@ _NUMBER = st.builds(lambda x, fmt: fmt(x), st.floats(),
 _ODD = st.sampled_from(["nan", "-inf", "Infinity", "1e500", "1_000", "\u0661",
                         "", "#", "#1", '"1"', "'1'", "0x10", "1.5e", "x"])
 # "\x0b" and "\x0c" are line breaks to splitlines() only; "\x1c".."\x1f" are
-# whitespace to np.loadtxt only
+# whitespace to str.strip() but not to float()
 _PAD = st.sampled_from(["", "", "", "", " ", "\t", "\xa0", "\x0b", "\x0c", "\x1f"])
 _LABEL = st.sampled_from(["g1", "id", " g 2 ", "x\xa0", "1", "nan", ""])
 
@@ -223,6 +225,9 @@ def _outcome(read, path):
 @example("\ufeff1,2\n3,4\n")  # a UTF-8 byte-order mark, as spreadsheets export
 @example("id,x\n7157,1\nb,2\n")  # a numeric label under a header
 @example("7157,1\nb,2\n")  # without a header the first row decides
+@example("1,2\r\n3,4\r\n")  # a numbers-only file with \r\n line ends
+@example("1,2\n\n3,4\n")  # a blank line inside a numbers body
+@example("1,2\n3,4")  # a last line without "\n"
 def test_load_matches_float_per_cell_reference(tmp_path, text):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode("utf-8"))
@@ -236,6 +241,15 @@ def test_a_byte_order_mark_is_not_data(tmp_path):
     assert values.shape == (2, 2) and header is None
     p.write_bytes("\ufeffa,b\n1,2\n".encode("utf-8"))
     assert load_csv(p)[1] == ["a", "b"]
+
+
+@pytest.mark.parametrize("data", [b"1,\xff\n", b"a,b\n1,\xff\n", b"\xff,1\n2,3\n",
+                                  b"a,b\ng\xc3,1\n"])
+def test_a_cell_that_is_not_utf8_raises(tmp_path, data):
+    p = tmp_path / "m.csv"
+    p.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError):
+        load_csv(p)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -417,6 +431,132 @@ def test_save_matches_a_per_cell_percent_writer(tmp_path, monkeypatch):
     assert p.read_text() == percent_csv(matrix, ["id", "a", "b", "c"], labels)
 
 
+def _read_back(tmp_path, monkeypatch, cells):
+    """Check load_csv against float() one cell at a time, bitwise, on cells
+    (a multiple of 16) written 16 to a line. Return how many cells the parse
+    kernel read, and an iterator over the text and end offset of each cell it
+    left to float()."""
+    kernel, calls = rca.io._kernel, []
+
+    def recorded_kernel(arr, windows, start, end):
+        values, fast = kernel(arr, windows, start, end)
+        calls.append((arr, start[~fast].tolist(), end[~fast].tolist(), np.count_nonzero(fast)))
+        return values, fast
+
+    p = tmp_path / "cells.csv"
+    p.write_text("".join(",".join(cells[i:i + 16]) + "\n" for i in range(0, len(cells), 16)))
+    with monkeypatch.context() as m:
+        m.setattr(rca.io, "_kernel", recorded_kernel)
+        values = load_csv(p)[0].ravel()
+    expected = np.array([float(cell) for cell in cells])
+    wrong = np.flatnonzero(values.view(np.uint64) != expected.view(np.uint64))
+    assert not wrong.size, [(cells[i], values[i]) for i in wrong[:10]]
+    left = ((arr[s:e].tobytes().decode(), e) for arr, starts, ends, _ in calls
+            for s, e in zip(starts, ends))
+    return sum(read for *_, read in calls), left
+
+
+def _digit_strings(rng, n):
+    """n cells -?digits[.digits] of 1 to 27 bytes, the point anywhere or
+    nowhere: 24- and 25-byte cells, and 0 to 25 digits after the point."""
+    cells = []
+    for size, neg, point, digits in zip(rng.integers(1, 28, n), rng.integers(0, 2, n),
+                                        rng.integers(-8, 27, n), rng.integers(0, 10, (n, 27))):
+        text = "".join(map(str, digits[:size]))
+        if 0 <= point <= size:
+            text = text[:point] + "." + text[point:]
+        cells.append("-" * neg + text)
+    return cells
+
+
+_KERNEL_FORM = re.compile(r"-?([0-9]*)\.?([0-9]*)")
+
+
+def _kernel_form(cell):
+    """Whether cell has the form the parse kernel reads: -?digits[.digits] in
+    at most 24 bytes, its digits an integer below 2**62, at most 22 of them
+    after the point."""
+    match = len(cell) <= 24 and _KERNEL_FORM.fullmatch(cell)
+    return bool(match) and 0 < len(match[1] + match[2]) and (
+        int(match[1] + match[2]) < 2 ** 62 and len(match[2]) <= 22)
+
+
+def _near_a_tie(cell):
+    """Whether the decimal cell lies within 2**-30 ulp of a midpoint between
+    float(cell) and a neighbour, by exact rational arithmetic."""
+    exact, q = Fraction(cell), abs(float(cell))
+    up, down = np.nextafter(q, np.inf) - q, q - np.nextafter(q, 0.0)
+    off = abs(abs(exact) - Fraction(q))
+    return any(abs(off - Fraction(gap) / 2) <= Fraction(up) * 2 ** -30 for gap in (up, down))
+
+
+def test_load_matches_float_bitwise_on_the_kernel_path(tmp_path, monkeypatch):
+    # the parse kernel against float() one cell at a time, bitwise: 2**20
+    # random bit patterns (the finite ones) written with '%.17g' and repr,
+    # most of which float() reads; then cells the kernel reads, where it must
+    # read each one of its form: random significands at every binary exponent
+    # that '%.17g' writes without an exponent, written also with repr and
+    # '%.15g', and below 0.03 with '%.20f'; 10**k and its neighbours 1 and 2
+    # ulp away; zeros, integers, and cells beside the kernel's limits; and
+    # random digit strings with the point anywhere
+    rng = np.random.default_rng(18)
+    field = np.uint64(0x7FF) << np.uint64(52)
+
+    def at_exponents(bits, low, high):
+        exponents = rng.integers(1023 + low, 1023 + high, bits.size).astype(np.uint64)
+        return (bits & ~field | exponents << np.uint64(52)).view(float).tolist()
+
+    near = np.concatenate([_near_powers_of_ten(), -_near_powers_of_ten()]).tolist()
+    edges = ["0", "-0", "0.0", "-0.0", "00", "1.", ".5", "-.5", "9007199254740993",
+             "9007199254740995", "4611686018427387903", "4611686018427387904",
+             "0.4611686018427387903", "0.0000000000000000000001", "1e5", "-1.5E-3", "+1",
+             "123456789012345678901234", "1234567890123456789012345", "-12345678901234567890123",
+             "0.1234567890123456789012", "0.12345678901234567890123"]
+    batches = [[*(fmt % x for fmt in ("%.17g", "%.15g", "%.20f", "%r") for x in near),
+                *("%d" % i for i in range(-1000, 1001)), *edges]]
+    total = on_kernel = 0
+    for _ in range(16):
+        bits = rng.integers(0, 2 ** 64, 1 << 16, dtype=np.uint64, endpoint=False)
+        finite = bits.view(float)[(bits & field) != field].tolist()
+        cells = [*("%.17g" % x for x in finite), *map(repr, finite)]
+        cells += ["0"] * (-len(cells) % 16)
+        read, _ = _read_back(tmp_path, monkeypatch, cells)
+        total, on_kernel = total + len(cells), on_kernel + read
+        ranged = at_exponents(bits[:1 << 14], -17, 57)
+        small = at_exponents(bits[-(1 << 10):], -75, -5)
+        batches.append([*(fmt % x for fmt in ("%.17g", "%.15g", "%r") for x in ranged),
+                        *("%.20f" % x for x in small), *_digit_strings(rng, 1 << 10)])
+    for cells in batches:
+        cells += ["0"] * (-len(cells) % 16)
+        read, left = _read_back(tmp_path, monkeypatch, cells)
+        # the kernel reads every cell of its form but one next to a tie
+        # (9007199254740993 among them) or ending in the file's first 24
+        # bytes, and no other cell
+        missed = [(text, end) for text, end in left if _kernel_form(text)]
+        assert all(end < 24 or _near_a_tie(text) for text, end in missed), missed
+        assert read + len(missed) == sum(map(_kernel_form, cells))
+        total, on_kernel = total + len(cells), on_kernel + read
+    # a test that sent most cells to float() would show little of the kernel
+    assert on_kernel > total / 4, (on_kernel, total)
+    # ties and near ties go to float(): exact ones (2**54 - 1 lies below a
+    # power of two), and V / 10**22 with (2k+1) * 5**22 = +-1 (mod 2**43),
+    # which lies within 2**-43 * 10**-22 of the midpoint (2k+1) / 2**65
+    odd = [(sign * pow(5 ** 22, -1, 2 ** 43)) % 2 ** 43 + 2 ** 53 for sign in (1, -1)]
+    ties = ["9007199254740993", "9007199254740993.0", "4503599627370496.5",
+            "18014398509481983", "-18014398509481983",
+            *(f"0.000{(k * 5 ** 22 - sign) // 2 ** 43}" for k, sign in zip(odd, (1, -1)))]
+    assert all(map(_near_a_tie, ties)) and all(map(_kernel_form, ties))
+    cells = ["1." + "0" * 22] * 16 + ties  # a first line of fillers: each tie ends past byte 24
+    _, left = _read_back(tmp_path, monkeypatch, cells + ["0"] * (-len(cells) % 16))
+    assert set(ties) <= {text for text, _ in left}
+    for cell in ("-", ".", "-.", ""):
+        p = tmp_path / "edge.csv"
+        p.write_text("1.0000000000,2\n" * 3 + f"1.0000000000,{cell}\n")
+        message = f"line 4, column 2: not a number: '{re.escape(cell)}'"
+        with pytest.raises(ValueError, match=message):
+            load_csv(p)
+
+
 # sha256 of every artifact of two runs (and of the gram the second reads),
 # recorded when each cell was still written by its own '%': for each file,
 # the digest of the numbers it holds maps to the digest of its bytes. The
@@ -525,6 +665,13 @@ def test_csv_memory_stays_within_a_few_file_sizes(tmp_path):
     save_csv(p, matrix)
     size = p.stat().st_size
     assert _peak_bytes(lambda: load_csv(p)) <= 2.5 * size
+    # a byte-order mark, as spreadsheets write one, costs no decoded copy,
+    # and one long row is parsed a part at a time
+    q = tmp_path / "bom.csv"
+    q.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
+    save_csv(q, matrix.reshape(1, -1))
+    assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
     assert _peak_bytes(lambda: save_csv(p, matrix)) <= 3.2 * size
 
 
