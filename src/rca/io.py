@@ -36,15 +36,15 @@ def load_csv(path):
         raise ValueError(f"{path}: empty file")
 
     # the common file, numbers only with no header or row labels: one parse
-    plain = _numeric(_text(data, bounds, 0))
-    if plain and (cells := _rows(bounds, last, 0)):
-        matrix = _parse(data, *cells)
-        if matrix is not None:
+    if plain := _numeric(_text(data, bounds, 0)):
+        lo, hi, end = _rows(bounds, last, 0)
+        matrix, bad = _parse(data, lo, hi)
+        if bad < 0 and end == last.size:
             return matrix, None, None
 
     header = None
     row = 0  # the first body row
-    if not plain or _parse(data, bounds[None, :last[0] + 1], bounds[None, 1:last[0] + 2]) is None:
+    if not plain or 0 <= bad <= last[0]:
         header = [_text(data, bounds, i).strip() for i in range(last[0] + 1)]
         header_line = data.count(b"\n", 0, bounds[last[0] + 1]) + 1
         row = 1
@@ -55,14 +55,14 @@ def load_csv(path):
     # number or, under a header, when any is not (a numeric gene id)
     firsts = np.concatenate([[-1], last[:-1]])[row:] + 1
     labeled = not _numeric(_text(data, bounds, firsts[0]))
-    # without a header the body is the whole file, which the parse above refused
-    cells = _rows(bounds, last, row) if header is not None else None
-    matrix = _parse(data, cells[0][:, labeled:], cells[1][:, labeled:]) if cells else None
-    if header is not None and not labeled and matrix is None:
-        labeled = _parse(data, bounds[firsts, None], bounds[firsts + 1, None]) is None
-        if labeled and cells:
-            matrix = _parse(data, cells[0][:, 1:], cells[1][:, 1:])
-    width = last[row] - firsts[0] + 1
+    if header is not None:  # else the body is the whole file, parsed above
+        lo, hi, end = _rows(bounds, last, 1)
+        matrix, bad = _parse(data, lo[:, labeled:], hi[:, labeled:])
+        if not labeled and (bad >= 0 or end < last.size):
+            labeled = _parse(data, bounds[firsts, None], bounds[firsts + 1, None])[1] >= 0
+            if labeled:
+                matrix, bad = _parse(data, lo[:, 1:], hi[:, 1:])
+    width = lo.shape[1]
     if labeled and header is not None and len(header) == width:
         header = header[1:]
     if header is not None and len(header) != width - labeled:
@@ -70,10 +70,16 @@ def load_csv(path):
                          f"for {width - labeled} columns")
     row_labels = [data[lo + 1:hi].decode().strip() for lo, hi in zip(
         bounds[firsts].tolist(), bounds[firsts + 1].tolist())] if labeled else None
-    if matrix is None:
-        lines = data.decode().split("\n")
-        numbers = [i for i, line in enumerate(lines, 1) if line != ""][row:]
-        matrix = _parse_cells(path, [lines[i - 1] for i in numbers], numbers, width, labeled)
+    if bad >= 0 or end < last.size:
+        data.decode()  # a file that is not UTF-8 raises UnicodeDecodeError first
+        # the first refused cell comes before the first ragged row, where the parse ends
+        r, c = divmod(bad, width - labeled) if bad >= 0 else (end - row, None)
+        line = data.count(b"\n", 0, bounds[firsts[r] + 1]) + 1
+        if c is None:
+            raise ValueError(f"{path}: line {line}: expected {width} columns, "
+                             f"found {last[end] - firsts[r] + 1}")
+        raise ValueError(f"{path}: line {line}, column {labeled + c + 1}: not a number: "
+                         f"{_text(data, bounds, firsts[r] + labeled + c).strip()!r}")
     if matrix.size == 0:
         raise ValueError(f"{path}: no numeric data")
     return matrix, header, row_labels
@@ -141,14 +147,15 @@ def _text(data, bounds, i):
 
 
 def _rows(bounds, last, row):
-    """(lo, hi): the bounds before and after each cell of rows row on, one
-    array row per CSV row, or None when those rows differ in width."""
+    """(lo, hi, end): the bounds before and after each cell of rows row to
+    end - 1, one array row per CSV row, where end is the first row of
+    another width than row's, or last.size when there is none."""
     first = last[row - 1] + 1 if row else 0
     width = last[row] - first + 1
-    if np.any(np.diff(last[row:]) != width):
-        return None
-    cells = bounds[first:first + (last.size - row) * width + 1]
-    return cells[:-1].reshape(-1, width), cells[1:].reshape(-1, width)
+    other = np.flatnonzero(np.diff(last[row:]) != width)
+    end = row + 1 + int(other[0]) if other.size else last.size
+    cells = bounds[first:first + (end - row) * width + 1]
+    return cells[:-1].reshape(-1, width), cells[1:].reshape(-1, width), end
 
 
 # The parse kernel reads the last _CELL bytes before each cell's end. A cell
@@ -176,16 +183,17 @@ def _bytes(byte):
 
 
 def _parse(data, lo, hi):
-    """The cells between bounds lo and hi (2-D, as from _rows) as a float
-    matrix of their shape, each cell as float() reads its text, or None when
-    float() refuses one."""
+    """(values, bad): the cells between bounds lo and hi (2-D, as from
+    _rows) as a float matrix of their shape, each cell as float() reads its
+    text, and the flat index of the first cell float() refuses, or -1. The
+    values from that cell on are left unset."""
     arr = np.frombuffer(data, np.uint8)
     if arr.size < _CELL:
         arr = np.zeros(_CELL, np.uint8)  # every cell ends before _CELL: float() reads all
     # each window of _CELL bytes as one item, gathered by its first offset
     windows = np.ndarray((arr.size - _CELL + 1,), f"V{_CELL}", arr, 0, (1,))
     out = np.empty(lo.shape)
-    # tiles of whole rows, or of part of one row when a row is wider
+    # tiles of whole rows, or of part of one row when a row is wider, in file order
     cols = max(1, min(lo.shape[1], _STEP_CELLS))
     rows = _STEP_CELLS // cols
     for tile in ((slice(r, r + rows), slice(c, c + cols)) for r in range(0, lo.shape[0], rows)
@@ -195,10 +203,10 @@ def _parse(data, lo, hi):
         for i in np.flatnonzero(~fast).tolist():
             try:
                 values[i] = float(data[start[i]:end[i]].decode())
-            except ValueError:
-                return None
+            except ValueError:  # its flat index in lo, where no two bounds are equal
+                return out, int(np.flatnonzero(lo == start[i] - 1)[0])
         out[tile] = values.reshape(out[tile].shape)
-    return out
+    return out, -1
 
 
 def _kernel(arr, windows, start, end):
@@ -257,29 +265,6 @@ def _kernel(arr, windows, start, end):
     gap = np.abs((bits + 1 - 2 * (d < 0)).view(np.float64) - q)
     fast &= np.abs(2 * np.abs(d) - gap) > gap * 2.0 ** -29
     return np.where(neg, -q, q), fast
-
-
-def _parse_cells(path, lines, numbers, width, labeled):
-    """The body one float() per cell, raising at the first bad line or cell
-    with its physical line number and column."""
-    values = []
-    for number, line in zip(numbers, lines):
-        row = line.split(",")
-        if len(row) != width:
-            raise ValueError(f"{path}: line {number}: expected {width} "
-                             f"columns, found {len(row)}")
-        if labeled:
-            row = row[1:]
-        parsed = []
-        for j, cell in enumerate(row):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                col = j + (2 if labeled else 1)
-                raise ValueError(f"{path}: line {number}, column {col}: "
-                                 f"not a number: {cell.strip()!r}") from None
-        values.append(parsed)
-    return np.array(values, dtype=float)
 
 
 @contextlib.contextmanager

@@ -74,21 +74,15 @@ def test_load_errors_report_physical_line_numbers(tmp_path, text, message):
 
 @pytest.fixture
 def body_parses(monkeypatch):
-    """The cell count given to each kernel parse and the line count given to
-    each per-cell parse, in call order."""
-    calls = {"kernel": [], "cells": []}
-    parse, parse_cells = rca.io._parse, rca.io._parse_cells
+    """The cell count given to each kernel parse, in call order."""
+    calls = []
+    parse = rca.io._parse
 
-    def counted_parse(data, lo, hi):
-        calls["kernel"].append(lo.size)
+    def counted(data, lo, hi):
+        calls.append(lo.size)
         return parse(data, lo, hi)
 
-    def counted_cells(path, lines, *args):
-        calls["cells"].append(len(lines))
-        return parse_cells(path, lines, *args)
-
-    monkeypatch.setattr(rca.io, "_parse", counted_parse)
-    monkeypatch.setattr(rca.io, "_parse_cells", counted_cells)
+    monkeypatch.setattr(rca.io, "_parse", counted)
     return calls
 
 
@@ -107,7 +101,7 @@ def test_a_valid_file_takes_one_kernel_parse_and_no_per_cell_parse(tmp_path, bod
     p.write_text("\n".join(lines) + "\n")
     values, _, _ = load_csv(p)
     assert values.shape == (len(_ROWS), 3)
-    assert body_parses == {"kernel": [values.size], "cells": []}
+    assert body_parses == [values.size]
 
 
 def test_a_bad_last_cell_reaches_the_per_cell_parser_once(tmp_path, body_parses):
@@ -115,8 +109,10 @@ def test_a_bad_last_cell_reaches_the_per_cell_parser_once(tmp_path, body_parses)
     p.write_text("\n".join(_ROWS + ["1,2,x"]) + "\n")
     with pytest.raises(ValueError, match="line 41, column 3: not a number: 'x'"):
         load_csv(p)
-    # the whole file, refused; then its first line, read as data, not a header
-    assert body_parses == {"kernel": [41 * 3, 3], "cells": [41]}
+    # one parse of the whole file, whose float() fallback refuses its last
+    # cell: the first line holds no refused cell, so it is data, not a
+    # header, and the index that parse returns names the cell
+    assert body_parses == [41 * 3]
 
 
 def test_round_trip_bit_exact(tmp_path, monkeypatch):
@@ -228,6 +224,10 @@ def _outcome(read, path):
 @example("1,2\r\n3,4\r\n")  # a numbers-only file with \r\n line ends
 @example("1,2\n\n3,4\n")  # a blank line inside a numbers body
 @example("1,2\n3,4")  # a last line without "\n"
+@example("c0,c1\n0.0,0.0,0.0\n0.0,0.0\nnan\x1f\n")  # a label probe beside a ragged row
+@example("a,b\n1,x\n2,3,4\n")  # a refused cell before a ragged row
+@example("1,2\n3\n4,x\n")  # a ragged row before a refused cell
+@example("id,a\ng1,1\n\ng2,x\n")  # a blank line inside a labeled body
 def test_load_matches_float_per_cell_reference(tmp_path, text):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode("utf-8"))
@@ -671,6 +671,12 @@ def test_csv_memory_stays_within_a_few_file_sizes(tmp_path):
     q.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
     assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
     save_csv(q, matrix.reshape(1, -1))
+    assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
+    # a header, and row labels besides, keep the body on views of the bounds
+    names = [f"c{j}" for j in range(600)]
+    save_csv(q, matrix, header=names)
+    assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
+    save_csv(q, matrix, header=["id"] + names, row_labels=[f"g{i}" for i in range(600)])
     assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
     assert _peak_bytes(lambda: save_csv(p, matrix)) <= 3.2 * size
 
