@@ -10,12 +10,13 @@ subspace loadings in primal mode (G between features); the math is the
 same, only the interpretation of rows changes.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (JITTER_FLOOR, GenEig, _block_diag, _frobenius, _whitened_eig, _whitener,
-                     as_matrix, check_square_symmetric, gen_eig_lowrank, gen_eig_spd)
+from .linalg import (JITTER_FLOOR, GenEig, _frobenius, _whitener, as_matrix,
+                     check_square_symmetric, gen_eig_lowrank, gen_eig_spd)
 
 # Eigenvalues within RANK_TOL above 1 are treated as noise and dropped.
 RANK_TOL = 1e-10
@@ -26,8 +27,8 @@ LOW_RANK_LIMIT = 1e5
 
 # ------------------------------------------------------------------ covariance specs
 #
-# Each spec checks only what it was given. rca_fit reduces a spec with parts or
-# blocks by them, checking the gram once; gen_eig_spd checks it and any dense Sigma.
+# Each spec checks only what it was given. rca_fit reduces a spec with parts by
+# them, checking the gram once; gen_eig_spd checks it and each dense block.
 
 @dataclass(frozen=True)
 class Explicit:
@@ -75,24 +76,10 @@ class ScaledIdentity:
             raise ValueError(f"variance must be finite and positive, got {self.variance}")
         return np.zeros((dim, 0)), np.asarray(self.variance, dtype=float)
 
-    materialize = LowRankPlusNoise.materialize
-
 
 @dataclass(frozen=True)
 class BlockDiagonal:
     blocks: tuple
-
-    def materialize(self, dim):
-        return _block_diag(_checked_blocks(self.blocks, dim))
-
-
-def _checked_blocks(blocks, dim):
-    """The blocks but (0, 0) ones, each checked square and symmetric, summing to dim."""
-    blocks = [check_square_symmetric(b, f"block {i}")
-              for i, b in enumerate(blocks) if np.shape(b) != (0, 0)]
-    if (total := sum(b.shape[0] for b in blocks)) != dim:
-        raise ValueError(f"blocks sum to dimension {total}, expected {dim}")
-    return blocks
 
 
 # ------------------------------------------------------------------ fits
@@ -137,12 +124,14 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     if not 0.0 <= rank_tol < np.inf:
         raise ValueError(f"rank_tol must be finite and nonnegative, got {rank_tol}")
     gram = as_matrix(gram, "gram")  # the reduction checks its symmetry
-    eig, trace = _reduce(gram, sigma if hasattr(sigma, "materialize")
-                         else Explicit(sigma), gram.shape[0])
+    specs = (Explicit, LowRankPlusNoise, ScaledIdentity, BlockDiagonal)
+    eig, trace = _reduce(gram, sigma if isinstance(sigma, specs) else Explicit(sigma),
+                         gram.shape[0])
     # Sylvester's inertia: lambda_min(G) >= min(d_min, 0) trace(Sigma), which
-    # settles semidefiniteness unless that bound falls below the floor.
-    floor = -1e-8 * np.ldexp(*_frobenius(gram))
-    if eig.values[-1] * trace < floor and np.linalg.eigvalsh(gram).min() < floor:
+    # settles semidefiniteness unless that bound falls below the floor (a Python
+    # float product, -inf where trace(Sigma) overflows).
+    floor, d_min = -1e-8 * np.ldexp(*_frobenius(gram)), float(eig.values[-1])
+    if d_min < 0 and d_min * float(trace) < floor and np.linalg.eigvalsh(gram).min() < floor:
         raise ValueError("gram matrix is not positive semidefinite")
     return _fit_of_spectrum(eig, gram, n_obs, rank_tol)
 
@@ -168,20 +157,20 @@ def _fit_of_spectrum(eig, gram, n_obs, rank_tol):
 
 
 def _reduce(gram, spec, p):
-    """(GenEig, trace(Sigma)), Sigma with any jitter. Blocks are whitened one by
-    one; parts clear of the jitter floor and LOW_RANK_LIMIT skip Sigma."""
+    """(GenEig, trace(Sigma)), Sigma with any jitter. Parts clear of the jitter
+    floor and LOW_RANK_LIMIT skip Sigma; gen_eig_spd whitens the rest block by block."""
     if hasattr(spec, "parts"):
         f, v = spec.parts(p)
         rows = np.einsum("ij,ij->i", f, f)  # squared row norms of F
-        trace = np.sum(v + rows)
-        if v.min() * p > JITTER_FLOOR * trace and np.sum(rows / v) <= LOW_RANK_LIMIT:
-            return gen_eig_lowrank(check_square_symmetric(gram, "gram"), f, v), trace
-    if not isinstance(spec, BlockDiagonal):
-        eig = gen_eig_spd(gram, sig := spec.materialize(p))
-        return eig, np.trace(sig) + p * eig.jitter
-    blocks = _checked_blocks(spec.blocks, p)
-    eig = _whitened_eig(check_square_symmetric(gram, "gram"), *_whitener(*blocks))
-    return eig, sum(np.trace(b) for b in blocks) + p * eig.jitter
+        # the test on Sigma / 2^e, e the exponent of its largest entry, an exact
+        # scaling: the same verdict at every scale, and no overflow
+        s = math.ldexp(1.0, -math.frexp(max(v.max(), rows.max()))[1])
+        t = np.sum(v * s + rows * s)
+        if v.min() * s * p > JITTER_FLOOR * t and np.sum(rows / v) <= LOW_RANK_LIMIT:
+            return gen_eig_lowrank(check_square_symmetric(gram, "gram"), f, v), float(t) / s
+    sigma = spec.blocks if isinstance(spec, BlockDiagonal) else (spec.materialize(p),)
+    eig = gen_eig_spd(gram, *sigma)
+    return eig, sum(np.trace(b) for b in sigma) + p * eig.jitter
 
 
 def log_marginal(y, x, sigma):

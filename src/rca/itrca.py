@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cca import _cca_of_covariance
-from .core import LowRankPlusNoise, _block_diag, _gaussian_log_density, _sample_covariance, rca_fit
-from .linalg import as_matrix
+from .core import LowRankPlusNoise, _gaussian_log_density, _sample_covariance, rca_fit
+from .linalg import _block_diag, as_matrix
 
 
 @dataclass(frozen=True)

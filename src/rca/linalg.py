@@ -145,19 +145,21 @@ def _eig_tail(reduced, back, logdet, jitter):
     return GenEig(values[::-1], _signed(back(vectors)[:, ::-1]), logdet, jitter)
 
 
-def gen_eig_spd(a, sigma):
+def gen_eig_spd(a, *sigma):
     """All eigenpairs of the symmetric-definite problem A S = Sigma S D.
 
-    a (the gram) and sigma are (n, n) symmetric; sigma must be positive
-    definite after the jitter policy, which _whitener applies. Returns
-    GenEig with the spectrum sorted descending and S' Sigma S = I. Every
-    Sigma, v I included, is whitened by T = L^{-1} (see _whitener).
+    a (the gram) is (n, n) symmetric and Sigma = blockdiag(sigma) of symmetric
+    blocks, one dense Sigma being one block; 0 x 0 blocks are dropped. Each block
+    must be positive definite after the jitter policy, which _whitener applies
+    block by block. Returns GenEig with the spectrum sorted descending and
+    S' Sigma S = I. Every Sigma, v I included, is whitened by T = blockdiag(L_k^{-1}).
     """
     a = check_square_symmetric(a, "gram")
-    sigma = check_square_symmetric(sigma, "sigma")
-    if a.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: gram is {a.shape}, sigma is {sigma.shape}")
-    return _whitened_eig(a, *_whitener(sigma))
+    blocks = [check_square_symmetric(b, "sigma" if len(sigma) == 1 else f"block {i}")
+              for i, b in enumerate(sigma) if np.shape(b) != (0, 0)]
+    if (total := sum(len(b) for b in blocks)) != len(a):
+        raise ValueError(f"dimension mismatch: blocks sum to dimension {total}, expected {len(a)}")
+    return _whitened_eig(a, *_whitener(*blocks))
 
 
 def _whitened_eig(a, ts, logdet, jitter):

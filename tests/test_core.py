@@ -33,20 +33,28 @@ def match_columns_up_to_sign(a, b, atol):
         assert d <= atol, f"column {j} differs by {d}"
 
 
-# ---------------------------------------------------------------- materialize
+def assert_same_eig(eig, ref):
+    for field in ("values", "vectors", "sigma_logdet", "jitter"):
+        np.testing.assert_array_equal(getattr(eig, field), getattr(ref, field))
 
-def test_materialize_scaled_identity():
-    np.testing.assert_allclose(ScaledIdentity(2.0).materialize(3), 2.0 * np.eye(3))
 
+# ---------------------------------------------------------------- specs
 
 def test_materialize_low_rank_plus_noise():
     spec = LowRankPlusNoise(np.array([[1.0], [1.0]]), 1.0)
     np.testing.assert_allclose(spec.materialize(2), [[2.0, 1.0], [1.0, 2.0]])
 
 
-def test_materialize_block_diagonal():
-    spec = BlockDiagonal((np.eye(2), np.array([[3.0]])))
-    np.testing.assert_allclose(spec.materialize(3), np.diag([1.0, 1.0, 3.0]))
+def test_dense_fits_are_gen_eig_spd_of_their_blocks():
+    # an Explicit or raw Sigma reaches gen_eig_spd as one block, a BlockDiagonal
+    # as its blocks, 0 x 0 ones and all: the same solve to the bit
+    for p in (3, 40):
+        rng = np.random.default_rng(p)
+        blocks = (np.zeros((0, 0)), random_spd(rng, 1), random_spd(rng, p - 1))
+        sigma, gram = random_spd(rng, p), random_spd(rng, p, shift=3.0)
+        for spec, args in ((Explicit(sigma), (sigma,)), (sigma, (sigma,)),
+                           (BlockDiagonal(blocks), blocks)):
+            assert_same_eig(rca_fit(gram, spec).eig, gen_eig_spd(gram, *args))
 
 
 def test_materialize_kernel_covariance():
@@ -77,15 +85,15 @@ def test_materialize_errors():
     with pytest.raises(ValueError, match="nonnegative"):
         LowRankPlusNoise(np.zeros((2, 0)), np.array([1.0, -1.0])).materialize(2)
     with pytest.raises(ValueError, match="block 1 must be square"):
-        BlockDiagonal((np.eye(1), np.ones((1, 2)))).materialize(2)
+        rca_fit(np.eye(2), BlockDiagonal((np.eye(1), np.ones((1, 2)))))
     with pytest.raises(ValueError, match="blocks sum to dimension 3, expected 2"):
-        BlockDiagonal((np.eye(1), np.eye(2))).materialize(2)
+        rca_fit(np.eye(2), BlockDiagonal((np.eye(1), np.eye(2))))
     # NaN and inf variances are named as such, without a numpy warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for v in (np.nan, np.inf, -np.inf, 0.0):
             with pytest.raises(ValueError, match=f"variance must be finite and positive, got {v}"):
-                ScaledIdentity(v).materialize(2)
+                rca_fit(np.eye(2), ScaledIdentity(v))
         for v, shown in ((np.nan, "nan"), (np.inf, "inf"), (np.array([1.0, np.nan]), "nan"),
                          (np.array([np.inf, 1.0]), "inf")):
             with pytest.raises(ValueError, match="noise variance must be finite and "
@@ -167,6 +175,30 @@ def test_fit_at_extreme_scale(s):
         fit = rca_fit(gram, sigma)
         assert fit.q == 5
         assert np.isfinite(fit.loadings).all() and np.isfinite(fit.log_likelihood)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e-300, 1e100, 1e300, 1e307])
+def test_scaled_identity_takes_the_thin_route_at_every_scale(lapack_calls, c):
+    # trace(c v I) = p c v overflows at c = 1e307 and p = 100, yet c G against
+    # c v I is the problem G against v I: the same rank and spectrum, still one
+    # eigensolve and no Sigma, with no overflow on the way
+    p = 100
+    w = 0.2 * np.random.default_rng(31).standard_normal((p, 2))
+    gram = np.eye(p) + w @ w.T
+    ref = rca_fit(gram, ScaledIdentity(1.0))
+    lapack_calls.clear()
+    fit = rca_fit(c * gram, ScaledIdentity(c))
+    assert lapack_calls == {"eigh": 1}
+    assert fit.q == ref.q == 2
+    np.testing.assert_allclose(fit.eig.values, ref.eig.values, rtol=1e-14)
+    # where trace(Sigma) is not a double, a zero eigenvalue still passes the
+    # semidefinite bound and a negative one still fails it
+    edge = np.diag(np.r_[3.0, 0.0, np.ones(p - 2)])
+    assert rca_fit(c * edge, ScaledIdentity(c)).q == 1
+    edge[1, 1] = -1e-3
+    with pytest.raises(ValueError, match="semidefinite"):
+        rca_fit(c * edge, ScaledIdentity(c))
 
 
 @pytest.mark.filterwarnings("error")

@@ -23,6 +23,7 @@ from rca.itrca import iterative_rca, predict_view1
 from rca.kernels import FRACTION, KernelSpec
 from rca.synth import make_diffexpr_pair, make_shared_private
 from rca.io import atomic_write_text, format_manifest, load_csv, read_manifest, save_csv
+from rca.linalg import _block_diag
 
 
 # ---------------------------------------------------------------- load_csv
@@ -619,7 +620,24 @@ _GOLDEN_RUNS = [
                 "d415373dd531000d599d67ffd4624a2828b83d6814726ada5077a8468d545a3d",
         },
     }),
+    *((("rca", "--gram", "gram.csv", "--sigma", sigma), {
+        "eigvals.csv": {
+            "027a0bf2b6bffe090ca815f00c16cdb31c846c23533fd879f273ef1a63369e30":
+                "0ab339ac45a23de04cbefa5f02564258ff68b69ba3076a08c5eb48830859487e",
+        },
+        "loadings.csv": {
+            "8e96c00feb00ac46bacfb093948f20b3e1adcfc5fb7f74780364afad9e06f617":
+                "529126b8b9026a0e9f2820c430ae2b0e7670589081a1671a1932f359ca180d2f",
+        },
+        "manifest.txt": {manifest: manifest},
+    }) for sigma, manifest in (
+        ("file:sigma.csv", "afbfa388da016eab781fb4312653b8f1632d4daf367a6097acc1105587bf3b61"),
+        ("blocks:b0.csv,b1.csv",
+         "b681fc1b0b41c79815332933f8f96b1e2f2ffbd580d696ede4cb350485d88eba"))),
 ]
+# the dense Sigma of the file: and blocks: runs, blockdiag(B0, B1)
+_GOLDEN_BLOCKS = (np.array([[2.0, 1.0], [1.0, 2.0]]),
+                  2.0 * np.eye(4) + np.eye(4, k=1) + np.eye(4, k=-1) + np.eye(4))
 
 
 def _numbers_digest(path):
@@ -637,6 +655,9 @@ def test_cli_artifacts_keep_their_golden_bytes(tmp_path, monkeypatch, argv, gold
     monkeypatch.chdir(tmp_path)
     b = np.random.default_rng(17).integers(-3, 4, (9, 6)).astype(float)
     save_csv("gram.csv", b.T @ b + 2 * np.eye(6))
+    save_csv("sigma.csv", _block_diag(_GOLDEN_BLOCKS))
+    for i, block in enumerate(_GOLDEN_BLOCKS):
+        save_csv(f"b{i}.csv", block)
     assert run_cli(*argv, "-o", "out") == 0
     files = sorted((tmp_path / "out").iterdir()) + [tmp_path / "gram.csv"]
     golden = {**golden, **_GOLDEN_GRAM}
@@ -801,6 +822,29 @@ def test_rca_command_artifacts(tmp_path):
     manifest = read_manifest(out / "manifest.txt")
     assert manifest["command"] == "rca"
     assert int(manifest["q"]) == int(np.sum(eig > 1.0))
+
+
+@pytest.mark.parametrize("form", ["file", "blocks"])
+def test_dense_sigma_forms_write_the_library_fit(tmp_path, form):
+    # file: and blocks: reach rca_fit as an Explicit and a BlockDiagonal, and
+    # the run's artifacts are save_csv's bytes of that library fit
+    rng = np.random.default_rng(23)
+    blocks = [c @ c.T + np.eye(len(c)) for c in (rng.standard_normal((k, k)) for k in (3, 4))]
+    w = rng.standard_normal((7, 2))
+    paths = [tmp_path / f"{name}.csv" for name in ("gram", "sigma", "b0", "b1")]
+    for path, value in zip(paths, [w @ w.T + _block_diag(blocks), _block_diag(blocks), *blocks]):
+        save_csv(path, value)
+    gram, sigma, *parts = (load_csv(path)[0] for path in paths)
+    spec, arg = ((Explicit(sigma), f"file:{paths[1]}") if form == "file" else
+                 (BlockDiagonal(tuple(parts)), f"blocks:{paths[2]},{paths[3]}"))
+    out = tmp_path / "out"
+    assert run_cli("rca", "--gram", str(paths[0]), "--sigma", arg, "-o", str(out)) == 0
+    fit = rca_fit(gram, spec)
+    assert fit.q == 2 and read_manifest(out / "manifest.txt")["q"] == "2"
+    save_csv(tmp_path / "eigvals.csv", fit.eig.values, ["eigenvalue"])
+    save_csv(tmp_path / "loadings.csv", fit.loadings)
+    for name in ("eigvals.csv", "loadings.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_cli_failure_is_single_line(tmp_path, capsys):

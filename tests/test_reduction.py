@@ -24,7 +24,8 @@ from rca.core import (
 from rca.cca import CORR_TOL, cca_fit
 from rca.itrca import iterative_rca, joint_log_marginal
 from rca.synth import make_shared_private
-from rca.linalg import JITTER_FLOOR, JITTER_SCALE, LEAF, NotPositiveDefiniteError, _tri_inv
+from rca.linalg import (JITTER_FLOOR, JITTER_SCALE, LEAF, NotPositiveDefiniteError, _tri_inv,
+                        _whitener)
 
 from oracles import cca_correlations
 
@@ -496,14 +497,14 @@ def test_dense_fit_factors_once_and_solves_once(lapack_calls, kind, p):
 def test_low_rank_fit_builds_no_dense_sigma(monkeypatch):
     # a ScaledIdentity, and so ppca_fit, reduces as a LowRankPlusNoise with no
     # factor columns: neither builds Sigma or takes gen_eig_spd's dense route
+    # (a ScaledIdentity has no dense form to build)
     def forbidden(*args):
         raise AssertionError("dense Sigma built")
 
     rng = np.random.default_rng(907)
     spec = LowRankPlusNoise(rng.standard_normal((P, 3)), rng.uniform(0.2, 2.0, P))
     gram = planted_gram(rng, np.eye(P))
-    for cls in (LowRankPlusNoise, ScaledIdentity):
-        monkeypatch.setattr(cls, "materialize", forbidden)
+    monkeypatch.setattr(LowRankPlusNoise, "materialize", forbidden)
     monkeypatch.setattr("rca.core.gen_eig_spd", forbidden)
     assert rca_fit(gram, spec).eig.jitter == 0.0
     assert rca_fit(gram, ScaledIdentity(0.8)).eig.jitter == 0.0
@@ -512,18 +513,29 @@ def test_low_rank_fit_builds_no_dense_sigma(monkeypatch):
 
 def test_block_fits_build_no_dense_sigma(monkeypatch):
     # a BlockDiagonal is whitened block by block, and CCA (closed form or
-    # jittered) and iterative_rca's start whiten their views the same way
-    def forbidden(*args):
-        raise AssertionError("dense Sigma built")
+    # jittered) and iterative_rca's start whiten their views the same way:
+    # every call to the whitener gets one square block per view, never Sigma
+    seen = []
 
-    monkeypatch.setattr(BlockDiagonal, "materialize", forbidden)
+    def whitener(*blocks):
+        seen.append([b.shape for b in blocks])
+        return _whitener(*blocks)
+
+    for mod in (rca.linalg, rca.cca):
+        monkeypatch.setattr(mod, "_whitener", whitener)
     rng = np.random.default_rng(908)
-    gram = planted_gram(rng, np.eye(P))
-    assert rca_fit(gram, dense_specs(rng)["blocks"]).eig.jitter == 0.0
+    gram, spec = planted_gram(rng, np.eye(P)), dense_specs(rng)["blocks"]
+    assert rca_fit(gram, spec).eig.jitter == 0.0
+    assert seen == [[b.shape for b in spec.blocks]] and len(spec.blocks) > 1
     y1, y2, _ = make_shared_private(0, n=100)
+    views = [(y1.shape[1],) * 2, (y2.shape[1],) * 2]
+    seen.clear()
     assert cca_fit(y1, y2).fit.eig.jitter == 0.0
     assert cca_fit(np.ones((20, 3)), y2[:20]).fit.eig.jitter > 0.0
+    assert seen == [views, [(3, 3), views[1]]]
+    seen.clear()
     assert iterative_rca(y1, y2, alpha=0.3).start_rank > 0
+    assert seen[0] == views
 
 
 @pytest.mark.parametrize("seed", range(3))
