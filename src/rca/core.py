@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (JITTER_FLOOR, GenEig, _frobenius, _whitener, as_matrix,
+from .linalg import (JITTER_FLOOR, GenEig, _diagonal_mean, _frobenius, _whitener, as_matrix,
                      check_square_symmetric, gen_eig_lowrank, gen_eig_spd)
 
 # Eigenvalues within RANK_TOL above 1 are treated as noise and dropped.
@@ -128,11 +128,15 @@ def rca_fit(gram, sigma, n_obs=1, rank_tol=RANK_TOL):
     eig, trace = _reduce(gram, sigma if isinstance(sigma, specs) else Explicit(sigma),
                          gram.shape[0])
     # Sylvester's inertia: lambda_min(G) >= min(d_min, 0) trace(Sigma), which
-    # settles semidefiniteness unless that bound falls below the floor (a Python
-    # float product, -inf where trace(Sigma) overflows).
-    floor, d_min = -1e-8 * np.ldexp(*_frobenius(gram)), float(eig.values[-1])
-    if d_min < 0 and d_min * float(trace) < floor and np.linalg.eigvalsh(gram).min() < floor:
-        raise ValueError("gram matrix is not positive semidefinite")
+    # settles semidefiniteness unless that bound falls below the floor -1e-8
+    # ||G||_F. All three are compared in units of 2^e, ||G||_F = norm 2^e, so
+    # none overflows but the bound, -inf where trace(Sigma) 2^-e does.
+    norm, e = _frobenius(gram)
+    floor, d_min = -1e-8 * norm, float(eig.values[-1])
+    with np.errstate(over="ignore"):
+        if (d_min < 0 and d_min * np.ldexp(trace, -e) < floor
+                and np.ldexp(np.linalg.eigvalsh(gram).min(), -e) < floor):
+            raise ValueError("gram matrix is not positive semidefinite")
     return _fit_of_spectrum(eig, gram, n_obs, rank_tol)
 
 
@@ -170,7 +174,7 @@ def _reduce(gram, spec, p):
             return gen_eig_lowrank(check_square_symmetric(gram, "gram"), f, v), float(t) / s
     sigma = spec.blocks if isinstance(spec, BlockDiagonal) else (spec.materialize(p),)
     eig = gen_eig_spd(gram, *sigma)
-    return eig, sum(np.trace(b) for b in sigma) + p * eig.jitter
+    return eig, p * (math.ldexp(*_diagonal_mean(*sigma)) + eig.jitter)
 
 
 def log_marginal(y, x, sigma):

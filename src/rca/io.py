@@ -193,11 +193,7 @@ def _parse(data, lo, hi):
     # each window of _CELL bytes as one item, gathered by its first offset
     windows = np.ndarray((arr.size - _CELL + 1,), f"V{_CELL}", arr, 0, (1,))
     out = np.empty(lo.shape)
-    # tiles of whole rows, or of part of one row when a row is wider, in file order
-    cols = max(1, min(lo.shape[1], _STEP_CELLS))
-    rows = _STEP_CELLS // cols
-    for tile in ((slice(r, r + rows), slice(c, c + cols)) for r in range(0, lo.shape[0], rows)
-                 for c in range(0, lo.shape[1], cols)):
+    for tile in _tiles(lo.shape, _STEP_CELLS):
         start, end = lo[tile].ravel() + 1, hi[tile].ravel()
         values, fast = _kernel(arr, windows, start, end)
         for i in np.flatnonzero(~fast).tolist():
@@ -207,6 +203,16 @@ def _parse(data, lo, hi):
                 return out, int(np.flatnonzero(lo == start[i] - 1)[0])
         out[tile] = values.reshape(out[tile].shape)
     return out, -1
+
+
+def _tiles(shape, cells):
+    """(rows, cols) slices that cut a matrix of shape into tiles of at most
+    cells cells, in file order: whole rows, or parts of one row when a row
+    is wider."""
+    cols = max(1, min(shape[1], cells))
+    rows = cells // cols
+    return [(slice(r, r + rows), slice(c, c + cols)) for r in range(0, shape[0], rows)
+            for c in range(0, shape[1], cols)]
 
 
 def _kernel(arr, windows, start, end):
@@ -312,15 +318,15 @@ def save_csv(path, matrix, header=None, row_labels=None):
     if header is not None and len(header) != (width := n_cols + (row_labels is not None)):
         raise ValueError(f"header has {len(header)} names for {width} columns")
     _check_names(header, row_labels)
-    step = max(1, _BLOCK_CELLS // n_cols)
+    sep = np.where(np.arange(n_cols) == n_cols - 1, ord("\n"), ord(","))
     with _atomic_file(path) as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, step):
-            text = _format_rows(matrix[start:start + step])
-            if row_labels is not None:
-                text = "".join(f"{label},{row}\n" for label, row in
-                               zip(row_labels[start:start + step], text.split("\n")))
+        for rows, cols in _tiles(matrix.shape, _BLOCK_CELLS):
+            text = _format_rows(matrix[rows, cols], sep[cols])
+            if row_labels is not None and cols.start == 0:
+                text = "".join(f"{label},{row}" for label, row in
+                               zip(row_labels[rows], text.splitlines(True)))
             fh.write(text)
 
 
@@ -374,24 +380,19 @@ def _scaled(mant, exp, k):
     return floor, ((lo << (64 - r)) | (floor & 1)) > 1 << 63
 
 
-def _format_rows(block):
-    """The rows of a 2-D block as text, each cell exactly FLOAT_FMT % cell,
-    cells joined by "," and rows ended by "\\n": zeros and cells in the
-    exact range from _exact_cells, the others from one batched '%', each
-    NUL-padded to _WIDTH bytes, then stripped of the NULs."""
-    n_rows, n_cols = block.shape
+def _format_rows(block, sep):
+    """The rows of a 2-D block as text, each cell exactly FLOAT_FMT % cell and
+    then its column's separator byte in sep: _exact_cells writes every cell, a
+    zero in place of each one outside its range, and one batched '%'
+    overwrites those; each cell is NUL-padded to _WIDTH bytes, then the NULs
+    are stripped."""
     x = block.ravel()
+    sep = np.tile(sep, block.shape[0])
     mag = np.abs(x)
-    exact = ((mag > 1e-11) & (mag < 2.0 ** 51)) | (mag == 0)
-    if not (count := np.count_nonzero(exact)):
-        return (",".join([FLOAT_FMT] * n_cols) + "\n") * n_rows % tuple(x.tolist())
-    sep = np.where(np.arange(x.size) % n_cols == n_cols - 1, ord("\n"), ord(","))
-    if count == x.size:
-        text = _exact_cells(x, mag, sep)
-    else:
-        text = np.empty((x.size, _WIDTH), np.uint8)
-        text[exact] = _exact_cells(x[exact], mag[exact], sep[exact])
-        rest = np.flatnonzero(~exact)
+    far = ~(((mag > 1e-11) & (mag < 2.0 ** 51)) | (mag == 0))
+    mag[far] = 0
+    text = np.zeros((x.size, _WIDTH), np.uint8) if far.all() else _exact_cells(x, mag, sep)
+    if (rest := np.flatnonzero(far)).size:
         fmt = ",".join([FLOAT_FMT] * rest.size).encode()
         cells = np.array((fmt % tuple(x[rest].tolist())).split(b","), f"S{_WIDTH}")
         chars = cells.view(np.uint8).reshape(rest.size, _WIDTH)

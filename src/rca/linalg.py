@@ -7,6 +7,7 @@ Van Loan, Matrix Computations, 8.7), by a batched blocked triangular inverse
 (_tri_inv); Sigma = D + F F' is never formed (gen_eig_lowrank).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,16 @@ def _frobenius(a):
         norm = np.linalg.norm(a)
     e = 0 if 1e-140 < norm < 1e140 else int(np.frexp(np.abs(a).max())[1])
     return float(np.linalg.norm(np.ldexp(a, -e)) if e else norm), e
+
+
+def _diagonal_mean(*blocks):
+    """(m, e): the mean of the blocks' diagonal entries is m 2^e, e = 0 unless
+    their plain sum overflows, else the exponent of the largest, an exact scaling."""
+    d = np.concatenate([np.diagonal(b) for b in blocks])
+    with np.errstate(over="ignore"):
+        m = d.mean()
+    e = 0 if np.isfinite(m) else int(np.frexp(np.abs(d).max())[1])
+    return float(np.ldexp(d, -e).mean() if e else m), e
 
 
 def check_square_symmetric(a, name="matrix"):
@@ -98,10 +109,11 @@ def _whitener(*blocks):
     that bound cannot tell, if B_k - floor I factors too, which certifies lambda_min
     > floor (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10). Raises
     NotPositiveDefiniteError, naming the eigenvalue, if a block fails after jitter."""
-    for jitter in (0.0, JITTER_SCALE * np.concatenate([np.diagonal(b) for b in blocks]).mean()):
+    for jitter in (0.0, JITTER_SCALE * math.ldexp(*_diagonal_mean(*blocks))):
         ts, logdet = [], 0.0
         for b in blocks:
-            floor = JITTER_FLOOR * (np.diagonal(b).mean() + jitter)
+            m, e = _diagonal_mean(b)  # the floor, formed in units of 2^e
+            floor = math.ldexp(JITTER_FLOOR * (m + math.ldexp(jitter, -e)), e)
             b = b + jitter * np.eye(len(b)) if jitter else b
             try:
                 chol = np.linalg.cholesky(b)

@@ -211,6 +211,36 @@ def test_semidefinite_floor_is_relative_at_any_scale(s):
         rca_fit(-s * np.eye(5), ScaledIdentity(s))
 
 
+@pytest.mark.filterwarnings("error")
+def test_semidefinite_floor_holds_where_the_gram_norm_overflows():
+    # ||1e308 I_4||_F = 2e308 is no double; the floor is compared in its units
+    assert rca_fit(1e308 * np.eye(4), ScaledIdentity(1e308)).q == 0
+    with pytest.raises(ValueError, match="semidefinite"):
+        rca_fit(-1e308 * np.eye(4), ScaledIdentity(1e308))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", [1e-300, 1e307])
+def test_dense_sigma_fits_at_every_scale(c):
+    # c G against c I, dense or as two blocks, is the problem G against I: at
+    # c = 1e307 trace(c I) overflows, and with it the jitter, each block's
+    # floor and the semidefinite bound unless each is formed in scaled units
+    p = 100
+    w = 0.2 * np.random.default_rng(32).standard_normal((p, 2))
+    gram = np.eye(p) + w @ w.T
+    ref = rca_fit(gram, Explicit(np.eye(p)))
+    for sigma in (Explicit(c * np.eye(p)), BlockDiagonal((c * np.eye(40), c * np.eye(60)))):
+        fit = rca_fit(c * gram, sigma)
+        assert fit.q == ref.q == 2
+        np.testing.assert_allclose(fit.eig.values, ref.eig.values, rtol=1e-14)
+        # a zero eigenvalue passes the semidefinite bound, a negative one fails it
+        edge = np.diag(np.r_[3.0, 0.0, np.ones(p - 2)])
+        assert rca_fit(c * edge, sigma).q == 1
+        edge[1, 1] = -1e-3
+        with pytest.raises(ValueError, match="semidefinite"):
+            rca_fit(c * edge, sigma)
+
+
 def test_fit_names_a_0d_gram():
     # the gram is checked before the spec reads its size: an empty low-rank
     # spec would otherwise fail inside numpy, on the minimum of no variances

@@ -415,10 +415,14 @@ def test_save_matches_a_per_cell_percent_writer(tmp_path, monkeypatch):
                         np.nextafter(1e-11, 1), 2.0 ** 51, np.nextafter(2.0 ** 51, 0),
                         2.0 ** 53, 9.5367431640625e-07, 0.5, 1.0, 1e22, -1e308])
     integers = np.arange(-1000.0, 1001.0) * rng.choice([1.0, 1e3, 1e6], 2001)
+    # a block with no cell in the exact range, and roc.csv's block: one inf
+    # threshold, then exact cells
+    far = 1e-200 * rng.standard_normal((128, 64))
+    roc = np.r_[np.inf, rng.random(8189)].reshape(-1, 3)
     p = tmp_path / "m.csv"
     for matrix in (bits.reshape(-1, 16), ranged.reshape(-1, 8),
                    np.concatenate([near, -near]).reshape(-1, 5), special[:, None],
-                   integers.reshape(-1, 3)):
+                   integers.reshape(-1, 3), far, roc):
         save_csv(p, matrix)
         assert p.read_text() == percent_csv(matrix)
     save_csv(p, [1e-07])  # the double nearest 1e-7 lies just below it
@@ -430,6 +434,12 @@ def test_save_matches_a_per_cell_percent_writer(tmp_path, monkeypatch):
     labels = [f"r{i}" for i in range(len(matrix))]
     save_csv(p, matrix, header=["id", "a", "b", "c"], row_labels=labels)
     assert p.read_text() == percent_csv(matrix, ["id", "a", "b", "c"], labels)
+    # blocks of 2 cells cut each row into parts, the label only before the first
+    monkeypatch.setattr(rca.io, "_BLOCK_CELLS", 2)
+    save_csv(p, matrix, header=["id", "a", "b", "c"], row_labels=labels)
+    assert p.read_text() == percent_csv(matrix, ["id", "a", "b", "c"], labels)
+    save_csv(p, matrix)
+    assert p.read_text() == percent_csv(matrix)
 
 
 def _read_back(tmp_path, monkeypatch, cells):
@@ -686,12 +696,12 @@ def test_csv_memory_stays_within_a_few_file_sizes(tmp_path):
     save_csv(p, matrix)
     size = p.stat().st_size
     assert _peak_bytes(lambda: load_csv(p)) <= 2.5 * size
-    # a byte-order mark, as spreadsheets write one, costs no decoded copy,
-    # and one long row is parsed a part at a time
+    # a byte-order mark, as spreadsheets write one, costs no decoded copy
     q = tmp_path / "bom.csv"
     q.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
     assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
-    save_csv(q, matrix.reshape(1, -1))
+    # one long row is written and parsed a part at a time
+    assert _peak_bytes(lambda: save_csv(q, matrix.reshape(1, -1))) <= 3.2 * size
     assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
     # a header, and row labels besides, keep the body on views of the bounds
     names = [f"c{j}" for j in range(600)]
