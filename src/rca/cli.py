@@ -8,6 +8,7 @@ records wall-clock state, so identical inputs give byte-identical files.
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -98,7 +99,8 @@ def cmd_diffexpr(args):
     spec = KernelSpec(args.lengthscale, *noise)
     ranking = residual_scores(pair, spec, standardize=not args.no_standardize)
     gene_ids = header1 or [f"g{j}" for j in range(y1.shape[1])]
-    rank_of = np.argsort(ranking.order) + 1.0
+    rank_of = np.empty(ranking.order.size)
+    rank_of[ranking.order] = np.arange(1.0, ranking.order.size + 1)
 
     # two flags decide the kernel noise, so the manifest records the one used
     results = {"noise_mode": spec.noise_mode, "noise": spec.noise,
@@ -305,8 +307,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), built once per process: parse_args leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _commit(args, *args.func(args))
         return 0

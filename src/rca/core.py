@@ -223,9 +223,17 @@ def ppca_fit(y, sigma2):
     return replace(rca_fit(c, ScaledIdentity(sigma2), n_obs=len(y)), mean=mean)
 
 
+# cells per panel of data-sized work, ~1 MB whatever the data's size: the
+# centered rows of _sample_covariance, the gene projections of residual_scores
+_PANEL_CELLS = 1 << 17
+
+
 def _sample_covariance(*views, means=None):
     """(c, means): the 1/n covariance of the checked views (y, or y1 and y2) about
-    their column means or the given ones, centered into one buffer freed on return.
+    their column means or the given ones, summed as P'P over panels P of rows,
+    each centered into one buffer of about _PANEL_CELLS cells, or of d rows
+    once C is larger, so that adding a panel's d x d term to C stays cheap
+    beside forming it.
     A non-constant column whose variance leaves the normal doubles is named."""
     names = ("y",) if len(views) == 1 else ("y1", "y2")
     views = [as_matrix(y, name) for y, name in zip(views, names)]
@@ -235,16 +243,23 @@ def _sample_covariance(*views, means=None):
     for name, y, mu in zip(names, views, means):
         if np.shape(mu) != (y.shape[1],):
             raise ValueError(f"{name} has {y.shape[1]} columns but {np.size(mu)} means")
-    edges = np.cumsum([0] + [y.shape[1] for y in views])
-    centered = np.empty((len(views[0]), edges[-1]))
-    for y, mu, a, b in zip(views, means, edges, edges[1:]):
-        np.subtract(y, mu, out=centered[:, a:b])
+    n, edges = len(views[0]), np.cumsum([0] + [y.shape[1] for y in views])
+    d = edges[-1]
+    step = max(_PANEL_CELLS // d, d)
+    buffer = np.empty((min(n, step), d))
+    c = np.zeros((d, d))
     with np.errstate(all="ignore"):
-        c = centered.T @ centered / len(centered)
+        for r in range(0, n, step):
+            panel = buffer[:n - r]
+            for y, mu, a, b in zip(views, means, edges, edges[1:]):
+                np.subtract(y[r:r + step], mu, out=panel[:, a:b])
+            c += panel.T @ panel
+        c /= n
     var = np.diag(c)
     for j in np.flatnonzero((var < np.finfo(float).tiny) | (var == np.inf)):
-        if var[j] == np.inf or (centered[:, j] != centered[0, j]).any():
-            v = np.searchsorted(edges, j, side="right") - 1
+        v = np.searchsorted(edges, j, side="right") - 1
+        column = views[v][:, j - edges[v]]
+        if var[j] == np.inf or (column != column[0]).any():
             raise ValueError(f"{names[v]} column {j - edges[v]}: variance {var[j]:.3g} is "
                              "outside the normal floating-point range; rescale the view")
     return c, means

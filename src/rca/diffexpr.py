@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Explicit, rca_fit
+from .core import _PANEL_CELLS, Explicit, rca_fit
 from .kernels import rbf_gram
 from .linalg import as_matrix
 
@@ -65,23 +65,34 @@ def residual_scores(pair, spec, standardize=True):
     With standardize=False the genes are centered but keep their scale, and
     the kernel's fraction noise mode then sees the mean raw gene variance.
     """
-    y = np.vstack([pair.y1, pair.y2])
+    y = np.vstack([pair.y1, pair.y2])  # the one data-sized copy, worked in place
     times = np.concatenate([pair.t1, pair.t2])
-    d = y.shape[1]  # TimeSeriesPair gives each series a row, so y has at least two
+    n, d = y.shape  # TimeSeriesPair gives each series a row, so n is at least two
 
-    scale, e = np.frexp(np.abs(y).max(axis=0))  # max|gene| = scale 2^e
-    y = np.ldexp(y, -e) if standardize else y  # exact, and y.std cannot overflow
-    y = y - y.mean(axis=0)
+    if standardize:
+        # max|gene| = scale 2^e; dividing by 2^e is exact, and the sums of
+        # squares below cannot overflow
+        scale, e = np.frexp(np.maximum(y.max(axis=0), -y.min(axis=0)))
+        np.ldexp(y, -e, out=y)
+    y -= y.mean(axis=0)
     if standardize:
         # genes with (relatively) zero variance are zeroed, not divided
-        std = y.std(axis=0)
+        std = np.sqrt(np.einsum("ij,ij->j", y, y) / n)
         alive = std > 1e-13 * scale
-        y = np.where(alive, y / np.where(alive, std, 1.0), 0.0)
-    data_variance = float(y.var(axis=0).mean())
+        y /= np.where(alive, std, 1.0)
+        y[:, ~alive] = 0.0
+    data_variance = float(np.einsum("ij,ij->", y, y) / (n * d))
 
     k = rbf_gram(times, spec, data_variance=data_variance)
     fit = rca_fit(y @ y.T / d, Explicit(k))
-    scores = np.linalg.norm(fit.eig.vectors[:, :fit.q].T @ y, axis=0)  # zeros when q = 0
+    # project one panel of genes, of at most _PANEL_CELLS cells, at a time:
+    # the projection of all genes would be a second copy of the data
+    basis, scores = fit.eig.vectors[:, :fit.q], np.empty(d)
+    step = max(1, _PANEL_CELLS // max(1, fit.q))
+    for a in range(0, d, step):
+        z = basis.T @ y[:, a:a + step]
+        scores[a:a + step] = np.sqrt(np.einsum("ij,ij->j", z, z))  # zeros when q = 0
+        del z  # before the next panel's projection
     order = np.argsort(-scores, kind="stable")
     return ScoredRanking(scores=scores, order=order, q_used=fit.q)
 

@@ -111,6 +111,8 @@ def _read(path):
 
 # bytes scanned for separators per step: bounds each step's masks at ~1 MB
 _BLOCK_BYTES = 1 << 20
+# files below this size keep their cell bounds, at most len(data), in int32
+_INT32_BYTES = 1 << 31
 
 
 def _split(data):
@@ -118,14 +120,15 @@ def _split(data):
     and last holds the index of each row's last cell.
 
     bounds holds -1, the offset of each comma and of each newline that ends
-    a non-blank line, then len(data) when the last line has no newline. A
-    blank line's newline is no separator: it joins the next cell, and
-    float() and strip() drop it from there. Only "," and "\\n" separate, as
-    for str.split; splitlines() would also split on \\f, \\v and Unicode
-    separators, which float() strips.
+    a non-blank line, then len(data) when the last line has no newline, as
+    int32 below _INT32_BYTES and int64 from there. A blank line's newline is
+    no separator: it joins the next cell, and float() and strip() drop it
+    from there. Only "," and "\\n" separate, as for str.split; splitlines()
+    would also split on \\f, \\v and Unicode separators, which float() strips.
     """
     arr = np.frombuffer(data, np.uint8)
-    bounds, newlines = [np.array([-1])], [np.zeros(0, bool)]
+    dtype = np.int32 if arr.size < _INT32_BYTES else np.int64
+    bounds, newlines = [np.array([-1], dtype)], [np.zeros(0, bool)]
     for at in range(0, arr.size, _BLOCK_BYTES):
         # "," and "\n" are below "-", as are few other bytes a number holds
         found = np.flatnonzero(arr[at:at + _BLOCK_BYTES] < ord("-")) + at
@@ -133,10 +136,10 @@ def _split(data):
         # a newline first in the file or right after another ends a blank line
         newline = (byte == ord("\n")) & (arr[found - 1] != ord("\n")) & (found > 0)
         keep = newline | (byte == ord(","))
-        bounds.append(found[keep])
+        bounds.append(found[keep].astype(dtype))
         newlines.append(newline[keep])
     if arr.size and arr[-1] != ord("\n"):
-        bounds.append(np.array([arr.size]))
+        bounds.append(np.array([arr.size], dtype))
         newlines.append(np.array([True]))
     return np.concatenate(bounds), np.flatnonzero(np.concatenate(newlines))
 
@@ -342,11 +345,18 @@ def _check_names(header, row_labels):
         line = ",".join(header)
         if not line or line[0] == "\ufeff" or all(map(_numeric, header)):
             raise ValueError(f"header line {line!r} does not read back as written")
-    for name in [*(header or ()), *(() if row_labels is None else row_labels)]:
-        name = str(name)
-        if "," in name or "\n" in name or "\r" in name or name != name.strip():
-            raise ValueError(f"name or label {name!r} does not read back: it holds "
-                             "a comma, a line break or surrounding whitespace")
+    # one pass over all the names; only a refusal looks for the first offender
+    names = [*(header or ()), *(() if row_labels is None else row_labels)]
+    try:
+        text = "".join(names)
+    except TypeError:  # a label that is no str is written as str() gives it
+        names = list(map(str, names))
+        text = "".join(names)
+    if "," in text or "\n" in text or "\r" in text or list(map(str.strip, names)) != names:
+        name = next(name for name in names if "," in name or "\n" in name or "\r" in name
+                    or name != name.strip())
+        raise ValueError(f"name or label {name!r} does not read back: it holds "
+                         "a comma, a line break or surrounding whitespace")
 
 
 # The exact range, 1e-11 < |x| < 2**51: each such x prints with a decimal

@@ -1,5 +1,6 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -20,3 +21,16 @@ def lapack_calls(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+@pytest.fixture
+def peak_bytes():
+    """peak_bytes(fn): the tracemalloc peak, in bytes, of calling fn()."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rca.diffexpr
 from rca.diffexpr import TimeSeriesPair, residual_scores, roc_curve
 from rca.kernels import ABSOLUTE, KernelSpec, rbf_gram
 from rca.synth import CONTROL_TIMES, TREATMENT_TIMES, make_diffexpr_pair
@@ -120,6 +121,34 @@ def test_order_sorts_scores_with_index_ties():
     ordered = ranking.scores[ranking.order]
     assert (np.diff(ordered) <= 0).all()
     assert sorted(ranking.order.tolist()) == list(range(25))
+
+
+def test_scoring_works_its_stacked_copy_in_place(peak_bytes):
+    # the stacked series is standardized in place, every variance and norm is
+    # a sum of squares and genes are projected a panel at a time: the peak is
+    # the stack and one panel, where a copy per step and the projection of
+    # all genes at once peaked at 3.1x the stack
+    y1, y2, t1, t2, _ = make_diffexpr_pair(3, n_genes=20000, n_planted=20)
+    pair, kept = TimeSeriesPair(y1, y2, t1, t2), (y1.copy(), y2.copy())
+    spec = KernelSpec(20.0)
+    assert residual_scores(pair, spec).q_used > 0
+    assert peak_bytes(lambda: residual_scores(pair, spec)) < 2.0 * (y1.nbytes + y2.nbytes)
+    # the pair keeps its data
+    assert np.array_equal(pair.y1, kept[0]) and np.array_equal(pair.y2, kept[1])
+
+
+@pytest.mark.parametrize("panel_cells", [1, 7, 1 << 17])
+def test_scores_are_the_same_over_any_gene_panels(monkeypatch, panel_cells):
+    # 7 cells of q rows: panels of a few genes and a shorter last one; 1 cell:
+    # one gene per panel
+    y1, y2, t1, t2, _ = make_diffexpr_pair(5, n_genes=40, n_planted=5)
+    pair, spec = TimeSeriesPair(y1, y2, t1, t2), KernelSpec(20.0)
+    whole = residual_scores(pair, spec)
+    monkeypatch.setattr(rca.diffexpr, "_PANEL_CELLS", panel_cells)
+    ranking = residual_scores(pair, spec)
+    assert ranking.q_used == whole.q_used > 0
+    np.testing.assert_allclose(ranking.scores, whole.scores, rtol=1e-14)
+    assert np.array_equal(ranking.order, whole.order)
 
 
 def test_pair_validation():

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -681,35 +680,63 @@ def test_cli_artifacts_keep_their_golden_bytes(tmp_path, monkeypatch, argv, gold
         assert text in (None, hashlib.sha256(f.read_bytes()).hexdigest()), f.name
 
 
-def _peak_bytes(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_csv_memory_stays_within_a_few_file_sizes(tmp_path):
+def test_csv_memory_stays_within_a_few_file_sizes(tmp_path, peak_bytes):
     matrix = np.random.default_rng(15).standard_normal((600, 600))
     p = tmp_path / "m.csv"
     save_csv(p, matrix)
     size = p.stat().st_size
-    assert _peak_bytes(lambda: load_csv(p)) <= 2.5 * size
+    assert peak_bytes(lambda: load_csv(p)) <= 2.5 * size
     # a byte-order mark, as spreadsheets write one, costs no decoded copy
     q = tmp_path / "bom.csv"
     q.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
-    assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
+    assert peak_bytes(lambda: load_csv(q)) <= 2.5 * size
     # one long row is written and parsed a part at a time
-    assert _peak_bytes(lambda: save_csv(q, matrix.reshape(1, -1))) <= 3.2 * size
-    assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
+    assert peak_bytes(lambda: save_csv(q, matrix.reshape(1, -1))) <= 3.2 * size
+    assert peak_bytes(lambda: load_csv(q)) <= 2.5 * size
     # a header, and row labels besides, keep the body on views of the bounds
     names = [f"c{j}" for j in range(600)]
     save_csv(q, matrix, header=names)
-    assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
+    assert peak_bytes(lambda: load_csv(q)) <= 2.5 * size
     save_csv(q, matrix, header=["id"] + names, row_labels=[f"g{i}" for i in range(600)])
-    assert _peak_bytes(lambda: load_csv(q)) <= 2.5 * size
-    assert _peak_bytes(lambda: save_csv(p, matrix)) <= 3.2 * size
+    assert peak_bytes(lambda: load_csv(q)) <= 2.5 * size
+    assert peak_bytes(lambda: save_csv(p, matrix)) <= 3.2 * size
+
+
+def test_split_keeps_cell_bounds_in_int32_below_2_gib(tmp_path, monkeypatch):
+    # a bound is at most the file size, so files below 2 GiB take 4 bytes a
+    # cell; larger ones (here, a threshold patched below the size) take 8 and
+    # the same values, and load_csv reads the same matrix through either
+    matrix = np.random.default_rng(16).standard_normal((40, 30))
+    p = tmp_path / "m.csv"
+    save_csv(p, matrix, header=["id", *(f"c{j}" for j in range(30))],
+             row_labels=[f"g{i}" for i in range(40)])
+    data = rca.io._read(p)
+    monkeypatch.setattr(rca.io, "_BLOCK_BYTES", 1000)  # several scan steps
+    bounds, last = rca.io._split(data)
+    assert bounds.dtype == np.int32
+    monkeypatch.setattr(rca.io, "_INT32_BYTES", len(data) - 1)
+    wide, wide_last = rca.io._split(data)
+    assert wide.dtype == np.int64
+    assert np.array_equal(wide, bounds) and np.array_equal(wide_last, last)
+    back, header, labels = load_csv(p)
+    assert np.array_equal(back, matrix) and len(header) == 30 and len(labels) == 40
+
+
+_LABELS = [f"g{i}" for i in range(1000)]
+
+
+@pytest.mark.parametrize("header, row_labels, first", [
+    (["id", "x"], [*_LABELS, " g", "a,b"], " g"),
+    (["id", "x"], [*_LABELS, "a\nb", "c "], "a\nb"),
+    (["id", "x"], [1, " 2", "a,b"], " 2"),
+    (["id", "x,y"], [" g"], "x,y"),
+])
+def test_name_check_names_the_first_offender(header, row_labels, first):
+    # one pass over every name decides; only a refusal looks for the name
+    rca.io._check_names(header[:1] + ["x"], _LABELS)
+    rca.io._check_names(["id", "x"], [1, 2])  # a label that is no str reads as str() writes it
+    with pytest.raises(ValueError, match=f"^name or label {re.escape(repr(first))} "):
+        rca.io._check_names(header, row_labels)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -775,6 +802,24 @@ def test_every_subcommand_takes_an_outdir(capsys, name):
         main([name, "--help"])
     assert exc.value.code == 0
     assert "-o OUTDIR, --outdir OUTDIR" in capsys.readouterr().out
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    # parse_args leaves a parser as it was, so main reuses one per process:
+    # a later call sees its own arguments and defaults, and the same help
+    built = []
+    monkeypatch.setattr(rca.cli, "build_parser", lambda: built.append(1) or build_parser())
+    rca.cli._parser.cache_clear()
+    try:
+        for argv in (["--n", "20"], []):
+            assert main(["synth-shared", "--seed", "1", *argv, "-o", str(tmp_path)]) == 0
+            assert read_manifest(tmp_path / "manifest.txt")["n"] == (argv or ["", "500"])[1]
+        with pytest.raises(SystemExit):
+            main(["--help"])
+    finally:
+        rca.cli._parser.cache_clear()
+    assert len(built) == 1
+    assert capsys.readouterr().out == build_parser().format_help()
 
 
 # each CLI option with a default, the library callable it feeds and that

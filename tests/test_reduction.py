@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import rca.core
 from rca.core import (
     LOW_RANK_LIMIT,
     BlockDiagonal,
@@ -17,6 +18,7 @@ from rca.core import (
     LowRankPlusNoise,
     RANK_TOL,
     ScaledIdentity,
+    _sample_covariance,
     log_marginal,
     ppca_fit,
     rca_fit,
@@ -685,6 +687,31 @@ def test_two_view_fits_hold_one_centered_copy(fit):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * (y1.nbytes + y2.nbytes)
+
+
+def test_sample_covariance_holds_one_row_panel(peak_bytes):
+    # C sums P'P over panels P of about 2**17 centered cells (1 MB), so the
+    # views are never centered whole; a centered copy alone is 1.0x
+    y1, y2, _ = make_shared_private(7, n=20000, d1=10, d2=10)
+    assert peak_bytes(lambda: _sample_covariance(y1, y2)) < 0.5 * (y1.nbytes + y2.nbytes)
+
+
+@pytest.mark.parametrize("panel_cells", [1 << 17, 12, 2])
+def test_sample_covariance_is_the_same_over_any_panels(monkeypatch, panel_cells):
+    # 12 cells of 3 columns: panels of 4 rows and a last one of 1; 2 cells:
+    # panels of 3 rows, the floor of d rows, and a last one of 2
+    rng = np.random.default_rng(4)
+    y1, y2 = rng.standard_normal((5, 2)) + 3.0, rng.standard_normal((5, 1))
+    monkeypatch.setattr(rca.core, "_PANEL_CELLS", panel_cells)
+    c, (mu1, mu2) = _sample_covariance(y1, y2)
+    y = np.hstack([y1, y2])
+    np.testing.assert_allclose(c, np.cov(y.T, bias=True), rtol=1e-13, atol=1e-15)
+    assert np.array_equal(c, c.T)
+    assert np.array_equal(np.concatenate([mu1, mu2]), y.mean(axis=0))
+    # the range rule reads its column from the views, panelled or not
+    with pytest.raises(ValueError, match="^y2 column 0: variance"):
+        _sample_covariance(y1, y2 * 1e160)
+    assert np.array_equal(_sample_covariance(y1, np.ones((5, 1)))[0][2], np.zeros(3))
 
 
 # ---------------------------------------------------------------- validation budget
