@@ -35,12 +35,10 @@ def load_csv(path):
     if not last.size:
         raise ValueError(f"{path}: empty file")
 
-    # the common file, numbers only with no header or row labels: one parse
+    # a number first: every row is parsed, so a numbers-only file takes one parse
     if plain := _numeric(_text(data, bounds, 0)):
         lo, hi, end = _rows(bounds, last, 0)
         matrix, bad = _parse(data, lo, hi)
-        if bad < 0 and end == last.size:
-            return matrix, None, None
 
     header = None
     row = 0  # the first body row
@@ -63,7 +61,7 @@ def load_csv(path):
             if labeled:
                 matrix, bad = _parse(data, lo[:, 1:], hi[:, 1:])
     width = lo.shape[1]
-    if labeled and header is not None and len(header) == width:
+    if labeled and len(header) == width:
         header = header[1:]
     if header is not None and len(header) != width - labeled:
         raise ValueError(f"{path}: line {header_line}: header has {len(header)} names "
@@ -113,6 +111,8 @@ def _read(path):
 _BLOCK_BYTES = 1 << 20
 # files below this size keep their cell bounds, at most len(data), in int32
 _INT32_BYTES = 1 << 31
+# cells per kernel tile, parsed or formatted: bounds its arrays at a few MB
+_BLOCK_CELLS = 1 << 13
 
 
 def _split(data):
@@ -128,20 +128,20 @@ def _split(data):
     """
     arr = np.frombuffer(data, np.uint8)
     dtype = np.int32 if arr.size < _INT32_BYTES else np.int64
-    bounds, newlines = [np.array([-1], dtype)], [np.zeros(0, bool)]
+    bounds = [np.array([-1], dtype)]
     for at in range(0, arr.size, _BLOCK_BYTES):
         # "," and "\n" are below "-", as are few other bytes a number holds
         found = np.flatnonzero(arr[at:at + _BLOCK_BYTES] < ord("-")) + at
         byte = arr[found]
         # a newline first in the file or right after another ends a blank line
         newline = (byte == ord("\n")) & (arr[found - 1] != ord("\n")) & (found > 0)
-        keep = newline | (byte == ord(","))
-        bounds.append(found[keep].astype(dtype))
-        newlines.append(newline[keep])
+        bounds.append(found[newline | (byte == ord(","))].astype(dtype))
     if arr.size and arr[-1] != ord("\n"):
         bounds.append(np.array([arr.size], dtype))
-        newlines.append(np.array([True]))
-    return np.concatenate(bounds), np.flatnonzero(np.concatenate(newlines))
+    bounds = np.concatenate(bounds)
+    # a row ends at each bound that is no comma: a newline, or len(data)
+    ends = bounds[1:]
+    return bounds, np.flatnonzero((arr.take(ends, mode="clip") != ord(",")) | (ends == arr.size))
 
 
 def _text(data, bounds, i):
@@ -169,7 +169,6 @@ def _rows(bounds, last, row):
 # by Dekker's product (Numer. Math. 18, 1971). Every other cell, and one
 # within 2**-30 ulp of a tie, takes float().
 _CELL = 24
-_STEP_CELLS = 1 << 13  # cells per kernel tile: bounds its arrays at a few MB
 # _FROM[j, k]: word j of a cell's bytes, little-endian, with 0xFF in bytes
 # k and after, 0 before them
 _FROM = np.array([[sum(0xFF << 8 * (b - 8 * j) for b in range(max(k, 8 * j), 8 * j + 8))
@@ -196,7 +195,7 @@ def _parse(data, lo, hi):
     # each window of _CELL bytes as one item, gathered by its first offset
     windows = np.ndarray((arr.size - _CELL + 1,), f"V{_CELL}", arr, 0, (1,))
     out = np.empty(lo.shape)
-    for tile in _tiles(lo.shape, _STEP_CELLS):
+    for tile in _tiles(lo.shape, _BLOCK_CELLS):
         start, end = lo[tile].ravel() + 1, hi[tile].ravel()
         values, fast = _kernel(arr, windows, start, end)
         for i in np.flatnonzero(~fast).tolist():
@@ -301,10 +300,6 @@ def atomic_write_text(path, text):
         fh.write(text)
 
 
-# cells formatted per write: bounds each block's working arrays at ~2 MB
-_BLOCK_CELLS = 1 << 13
-
-
 def save_csv(path, matrix, header=None, row_labels=None):
     """load_csv's dual: write a matrix (a 1-D vector as one column) atomically,
     under header, with row_labels (one per row) as a first column if given.
@@ -318,6 +313,7 @@ def save_csv(path, matrix, header=None, row_labels=None):
         raise ValueError(f"{len(row_labels)} row labels for {n_rows} rows")
     if matrix.size == 0:
         raise ValueError(f"no CSV form for a matrix of shape {matrix.shape}")
+    header = None if header is None else list(map(str, header))  # str() names, as labels
     if header is not None and len(header) != (width := n_cols + (row_labels is not None)):
         raise ValueError(f"header has {len(header)} names for {width} columns")
     _check_names(header, row_labels)
@@ -401,7 +397,7 @@ def _format_rows(block, sep):
     mag = np.abs(x)
     far = ~(((mag > 1e-11) & (mag < 2.0 ** 51)) | (mag == 0))
     mag[far] = 0
-    text = np.zeros((x.size, _WIDTH), np.uint8) if far.all() else _exact_cells(x, mag, sep)
+    text = _exact_cells(x, mag, sep)
     if (rest := np.flatnonzero(far)).size:
         fmt = ",".join([FLOAT_FMT] * rest.size).encode()
         cells = np.array((fmt % tuple(x[rest].tolist())).split(b","), f"S{_WIDTH}")

@@ -147,8 +147,7 @@ def _block_diag(blocks):
 
 def _signed(s):
     """s, each column signed so its largest-magnitude entry (first on ties) is positive."""
-    signs = np.sign(s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])])
-    return s * np.where(signs == 0, 1.0, signs)
+    return s * np.copysign(1.0, s[np.argmax(np.abs(s), axis=0), np.arange(s.shape[1])])
 
 
 def _eig_tail(reduced, back, logdet, jitter):

@@ -228,6 +228,8 @@ def _outcome(read, path):
 @example("a,b\n1,x\n2,3,4\n")  # a refused cell before a ragged row
 @example("1,2\n3\n4,x\n")  # a ragged row before a refused cell
 @example("id,a\ng1,1\n\ng2,x\n")  # a blank line inside a labeled body
+@example("1,2,")  # the last bound is len(data), the byte before it a comma
+@example("1,2\r3,4")  # \r-only line ends
 def test_load_matches_float_per_cell_reference(tmp_path, text):
     p = tmp_path / "m.csv"
     p.write_bytes(text.encode("utf-8"))
@@ -333,6 +335,17 @@ def test_save_refuses_names_that_do_not_read_back(tmp_path, header, row_labels, 
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         save_csv(tmp_path / "m.csv", np.ones((2, n_cols)), header=header, row_labels=row_labels)
     assert not any(tmp_path.iterdir())
+
+
+def test_header_names_are_written_as_str_gives_them(tmp_path):
+    # as row labels are: a number among the names reads back as its text
+    p = tmp_path / "m.csv"
+    save_csv(p, np.ones((2, 2)), header=["a", 1])
+    assert p.read_text() == "a,1\n1,1\n1,1\n"
+    assert load_csv(p)[1] == ["a", "1"]
+    with pytest.raises(ValueError, match="^header line '1,2' does not read back as written$"):
+        save_csv(tmp_path / "n.csv", np.ones((2, 2)), header=[1, 2])
+    assert [f.name for f in tmp_path.iterdir()] == ["m.csv"]
 
 
 # names and labels: a plain name or number, or three parts, each empty, a
@@ -737,6 +750,26 @@ def test_name_check_names_the_first_offender(header, row_labels, first):
     rca.io._check_names(["id", "x"], [1, 2])  # a label that is no str reads as str() writes it
     with pytest.raises(ValueError, match=f"^name or label {re.escape(repr(first))} "):
         rca.io._check_names(header, row_labels)
+
+
+def test_an_interrupt_after_the_rename_propagates_and_keeps_the_file(tmp_path, monkeypatch):
+    # the rename is done when the interrupt lands: the file stays in place, no
+    # temporary is left to remove, and the interrupt itself propagates
+    class Interrupt(BaseException):
+        pass
+
+    replace = os.replace
+
+    def replace_then_interrupt(src, dst):
+        replace(src, dst)
+        raise Interrupt
+
+    monkeypatch.setattr(rca.io.os, "replace", replace_then_interrupt)
+    p = tmp_path / "m.txt"
+    with pytest.raises(Interrupt):
+        atomic_write_text(p, "new\n")
+    assert p.read_text() == "new\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["m.txt"]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
